@@ -96,13 +96,17 @@ _HEAD_ELLIPSES = [
 
 def validate_intensity(image):
     """Raise if image is not a finite non-negative 2-D float array."""
-    arr = np.asarray(image, dtype=float)
+    return _nonnegative_grid(image, "intensity image", "rate")
+
+
+def _nonnegative_grid(values, name, unit):
+    arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
-        raise ValueError(f"intensity image must be 2-D, got shape {arr.shape}")
+        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("intensity image contains non-finite values")
+        raise ValueError(f"{name} contains non-finite values")
     if arr.min() < 0:
-        raise ValueError(f"intensity image has negative rate {arr.min()!r}")
+        raise ValueError(f"{name} has negative {unit} {arr.min()!r}")
     return arr
 
 

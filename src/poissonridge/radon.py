@@ -16,7 +16,7 @@ Conventions: the subscript pair (i, j) means column i, row j; for a numpy
 array ``a`` that is ``a[j, i]``. Out-of-range points contribute zero.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,34 +291,35 @@ def drt_rotation(img, angles=180, interp="linear"):
     x = (ii.ravel() - cx).astype(float)
     y = (jj.ravel() - cy).astype(float)
     v = arr.ravel()
-    out = np.zeros((nr, thetas.size))
+    # inner edges, relative to floor(r), of the four bins floor(r) - 1 ..
+    # floor(r) + 2 that a tilted area footprint can reach: its half-width
+    # (a + b) / 2 is at most 1 / sqrt(2), so the footprint CDF is exactly
+    # 0 at the outer edge -1.5 and 1 at the outer edge 2.5
+    area_edges = np.array([[-0.5], [0.5], [1.5]])
+    out = np.empty((nr, thetas.size))
     for k, t in enumerate(thetas):
         r = x * np.cos(t) + y * np.sin(t)
-        col = out[:, k]
         if interp == "nearest":
-            np.add.at(col, np.rint(r).astype(np.int64) + radius, v)
-        elif interp == "linear":
-            base = np.floor(r)
-            frac = r - base
-            i0 = base.astype(np.int64) + radius
-            np.add.at(col, i0, v * (1.0 - frac))
-            np.add.at(col, i0 + 1, v * frac)
+            first = np.rint(r).astype(np.int64)
+            taps = (v,)
         else:
+            base = np.floor(r)
             ct, st = abs(np.cos(t)), abs(np.sin(t))
             a, b = max(ct, st), min(ct, st)
-            base = np.floor(r).astype(np.int64)
-            if b < 1e-12:
-                # axis aligned: footprint is box(1); overlap with each bin
-                for step in (-1, 0, 1):
-                    lo = np.maximum(base + step - 0.5, r - 0.5)
-                    hi = np.minimum(base + step + 0.5, r + 0.5)
-                    np.add.at(col, base + step + radius,
-                              v * np.clip(hi - lo, 0.0, None))
+            if interp == "linear" or b < 1e-12:
+                # an axis-aligned area footprint is box(1), which overlaps
+                # unit bins exactly as linear interpolation splits mass
+                frac = r - base
+                first = base.astype(np.int64)
+                taps = (v * (1.0 - frac), v * frac)
             else:
-                for step in (-2, -1, 0, 1, 2):
-                    upper = _trapezoid_cdf(base + step + 0.5 - r, a, b)
-                    lower = _trapezoid_cdf(base + step - 0.5 - r, a, b)
-                    np.add.at(col, base + step + radius, v * (upper - lower))
+                cdf = _trapezoid_cdf(base + area_edges - r, a, b)
+                first = base.astype(np.int64) - 1
+                taps = (v * cdf[0], v * (cdf[1] - cdf[0]),
+                        v * (cdf[2] - cdf[1]), v * (1.0 - cdf[2]))
+        first += radius
+        bins = np.concatenate([first + m for m in range(len(taps))])
+        out[:, k] = np.bincount(bins, np.concatenate(taps), minlength=nr)
     return Sinogram(
         variant="rotation",
         data=out,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .phantoms import _nonnegative_grid
 from .radon import Sinogram, TransformConfig, drt_gdb, drt_rotation, \
     fbp_invert, propagate_intensity
 from .shrinkage import ThresholdPolicy, apply_shrinkage, estimate_band_noise, \
@@ -173,13 +174,25 @@ def denoise_full(noisy, config, reference=None):
     Returns
     -------
     DenoiseResult
+
+    Raises
+    ------
+    ValueError
+        Before any transform runs, if noisy or reference is not a finite,
+        non-negative 2-D array, or if the two differ in shape.
     """
-    noisy = np.asarray(noisy, dtype=float)
+    noisy = _nonnegative_grid(noisy, "noisy counts", "count")
+    if reference is not None:
+        reference = _nonnegative_grid(reference, "reference", "rate")
+        if reference.shape != noisy.shape:
+            raise ValueError(
+                f"reference shape {reference.shape} does not match noisy "
+                f"counts {noisy.shape}")
     if config.policy.selector == "oracle-erm" and reference is None:
         raise ValueError("oracle-erm selection requires a reference image")
     if config.entry == "sinogram":
-        ref = None if reference is None else np.asarray(reference, dtype=float)
-        est, taus = _shrink_columns(noisy, config.wavelet, config.policy, ref)
+        est, taus = _shrink_columns(noisy, config.wavelet, config.policy,
+                                    reference)
         if config.clamp_negative:
             est = np.clip(est, 0.0, None)
         return DenoiseResult(image=est, thresholds=taus,

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spd import moment_match, spd_mean_var
-from .wavelet import WaveletPyramid, lowpass_gain, wavelet_atom
+from .wavelet import WaveletPyramid, lowpass_gain
 
 __all__ = [
     "BandNoiseModel",
@@ -77,10 +76,11 @@ def estimate_band_noise(band, approx, spec, level):
     """Predict detail-coefficient noise from co-located approximations.
 
     The same-level approximation coefficients, clamped to zero and
-    rescaled by the lowpass gain, estimate the local Radon-domain rate;
-    the detail atom's matched model then converts rate to coefficient
-    variance (for an orthonormal atom the two are equal, since
-    sum psi^2 = 1).
+    rescaled by the lowpass gain, estimate the local Radon-domain rate.
+    A detail coefficient of rate-lam Poisson counts has variance
+    lam * sum psi^2, and every filter in wavelet.FILTERS is orthonormal,
+    so sum psi^2 = 1 at every level in both modes and the predicted
+    variance is the rate itself.
 
     Parameters
     ----------
@@ -100,21 +100,9 @@ def estimate_band_noise(band, approx, spec, level):
         raise ValueError(
             f"band and approximation must be co-located, got shapes "
             f"{band.shape} and {approx.shape}")
-    rate = np.clip(approx, 0.0, None) / lowpass_gain(spec, level)
-    # variance per unit rate of the level's detail atom, via the matched model
-    atom = wavelet_atom(spec, level, 0, _atom_length(spec, level), band="detail")
-    params = moment_match(atom, np.ones_like(atom))
-    _, var_unit = spd_mean_var(params, "difference")
-    variances = rate * var_unit
+    variances = np.clip(approx, 0.0, None) / lowpass_gain(spec, level)
     med = float(np.median(variances)) if variances.size else 0.0
     return BandNoiseModel(variances=variances, scale=float(np.sqrt(max(med, 0.0))))
-
-
-def _atom_length(spec, level):
-    # long enough for an unwrapped level atom and valid in decimated mode
-    from .wavelet import FILTERS
-
-    return 2 ** spec.levels * max(2, len(FILTERS[spec.filter]))
 
 
 def threshold_grid(policy, scale):
@@ -130,6 +118,12 @@ def select_threshold(band, noise, policy, reference=None):
     sum_i [ v_i (1 - 2 * 1{|w_i| <= tau}) + min(w_i^2, tau^2) ],
     the Gaussian-approximation unbiased risk estimate with
     per-coefficient variances v_i. Ties break toward the smaller tau.
+
+    sure needs no risk matrix: with |w| sorted ascending, the prefix sums
+    cv of v and cw of w^2 (each led by 0), and k = #{|w_i| <= tau},
+    risk(tau) = sum v - 2 cv[k] + cw[k] + tau^2 (n - k), so the whole
+    grid costs one O(n log n) sort (the SureShrink form of Donoho and
+    Johnstone, JASA 1995). oracle-erm evaluates every grid point directly.
     """
     w = np.asarray(band, dtype=float).ravel()
     if w.size == 0:
@@ -154,10 +148,18 @@ def select_threshold(band, noise, policy, reference=None):
     if v.shape != w.shape:
         raise ValueError(
             f"variance shape {v.shape} does not match band {w.shape}")
-    inside = np.abs(w)[None, :] <= grid[:, None]
-    risks = (v[None, :] * (1.0 - 2.0 * inside)
-             + np.minimum(w[None, :] ** 2, grid[:, None] ** 2)).sum(axis=1)
+    risks = _sure_risks(w, v, grid)
     return float(grid[int(np.argmin(risks))])
+
+
+def _sure_risks(w, v, grid):
+    """SURE at every grid threshold, from prefix sums over sorted |w|."""
+    magnitude = np.abs(w)
+    order = np.argsort(magnitude, kind="stable")
+    cv = np.concatenate(([0.0], np.cumsum(v[order])))
+    cw = np.concatenate(([0.0], np.cumsum(w[order] ** 2)))
+    k = np.searchsorted(magnitude[order], grid, side="right")
+    return cv[-1] - 2.0 * cv[k] + cw[k] + grid ** 2 * (w.size - k)
 
 
 def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):

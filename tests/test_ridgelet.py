@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import poissonridge.ridgelet as ridgelet
 from poissonridge.metrics import mse
 from poissonridge.phantoms import PhantomSpec, make_phantom, sample_poisson
 from poissonridge.radon import TransformConfig, drt_gdb, drt_rotation
@@ -175,3 +176,42 @@ def test_gdb_counts_can_be_denoised_as_sinogram():
     res = denoise_full(sino.data, cfg)
     assert res.image.shape == sino.data.shape
     assert res.image.min() >= 0.0
+
+
+BAD_VALUES = [(np.nan, "non-finite"), (np.inf, "non-finite"),
+              (-np.inf, "non-finite"), (-1.0, "negative")]
+
+
+@pytest.mark.parametrize("entry", ["image", "sinogram"])
+@pytest.mark.parametrize("bad, message", BAD_VALUES)
+def test_denoise_rejects_bad_counts_before_any_transform(monkeypatch, entry,
+                                                         bad, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a transform ran on invalid counts")
+
+    for name in ("drt_rotation", "drt_gdb", "dwt_forward", "fbp_invert"):
+        monkeypatch.setattr(ridgelet, name, never)
+    counts = np.full((16, 16), 3.0)
+    counts[5, 7] = bad
+    with pytest.raises(ValueError, match=message):
+        denoise_full(counts, DenoiseConfig(entry=entry))
+
+
+def test_denoise_rejects_non_2d_counts():
+    with pytest.raises(ValueError, match="2-D"):
+        denoise_full(np.ones(16), DenoiseConfig(entry="sinogram"))
+
+
+@pytest.mark.parametrize("bad, message", BAD_VALUES)
+def test_denoise_rejects_bad_reference(bad, message):
+    reference = np.full((16, 16), 3.0)
+    reference[2, 2] = bad
+    cfg = DenoiseConfig(policy=ThresholdPolicy(selector="oracle-erm"))
+    with pytest.raises(ValueError, match=message):
+        denoise_full(np.ones((16, 16)), cfg, reference=reference)
+
+
+def test_denoise_rejects_reference_of_other_shape():
+    cfg = DenoiseConfig(policy=ThresholdPolicy(selector="oracle-erm"))
+    with pytest.raises(ValueError, match="shape"):
+        denoise_full(np.ones((16, 16)), cfg, reference=np.ones((16, 8)))

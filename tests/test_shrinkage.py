@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from poissonridge.shrinkage import (BandNoiseModel, ThresholdPolicy,
-                                    apply_shrinkage, estimate_band_noise,
+                                    _sure_risks, apply_shrinkage,
+                                    estimate_band_noise,
                                     select_pyramid_thresholds,
                                     select_threshold, soft_threshold,
                                     threshold_grid)
-from poissonridge.wavelet import WaveletSpec, dwt_forward
+from poissonridge.wavelet import FILTERS, WaveletSpec, dwt_forward, wavelet_atom
 
 
 def test_soft_threshold_hand_values():
@@ -41,6 +42,17 @@ def test_estimate_band_noise_orthonormal_atom_variance_equals_rate():
         model = estimate_band_noise(np.zeros(16), approx, spec, level)
         assert np.allclose(model.variances, lam)
         assert model.scale == pytest.approx(np.sqrt(lam))
+
+
+@pytest.mark.parametrize("name", sorted(FILTERS))
+@pytest.mark.parametrize("mode", ["decimated", "undecimated"])
+def test_detail_atoms_have_unit_energy(name, mode):
+    # estimate_band_noise takes the detail variance per unit rate,
+    # sum psi^2, to be exactly 1; that holds only for orthonormal filters
+    spec = WaveletSpec(name, 3, mode)
+    for level in (1, 2, 3):
+        atom = wavelet_atom(spec, level, 0, 64, band="detail")
+        assert np.sum(atom ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimate_band_noise_clamps_negative_approximations():
@@ -148,6 +160,43 @@ def test_sure_is_unbiased_for_gaussian_bands():
                 + np.minimum(w ** 2, tau ** 2)).sum(axis=1)
         paired = sure - loss
         assert abs(paired.mean()) <= 3 * paired.std(ddof=1) / np.sqrt(trials)
+
+
+def dense_sure_risks(w, v, grid):
+    # one row per grid point: the 51 x n risk matrix, summed per row
+    inside = np.abs(w)[None, :] <= grid[:, None]
+    return (v[None, :] * (1.0 - 2.0 * inside)
+            + np.minimum(w[None, :] ** 2, grid[:, None] ** 2)).sum(axis=1)
+
+
+# coefficients drawn partly from a small pool, so bands carry duplicates,
+# exact zeros and magnitudes that land on grid points
+_coefficient = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 2.0]),
+                         st.floats(-50.0, 50.0))
+_variance = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+
+
+@given(st.lists(st.tuples(_coefficient, _variance), min_size=1, max_size=80),
+       st.floats(1e-3, 10.0))
+@example([(0.0, 1.0)] * 5, 1.0)
+@example([(0.0, 0.0)] * 5, 1.0)
+@example([(3.0, 0.0), (-3.0, 0.0), (0.5, 0.0)], 0.4)
+@example([(1.0, 0.5), (1.0, 0.5)], 0.2)
+def test_sure_prefix_sums_match_dense_risks(pairs, scale):
+    w = np.array([p[0] for p in pairs])
+    v = np.array([p[1] for p in pairs])
+    policy = ThresholdPolicy(selector="sure")
+    grid = threshold_grid(policy, scale)
+    dense = dense_sure_risks(w, v, grid)
+    # risks may cancel to ~0, so the tolerance is relative to the
+    # magnitude of the non-negative terms that make them up
+    tol = 1e-9 * (v.sum() + (w ** 2).sum() + grid ** 2 * w.size)
+    assert np.all(np.abs(_sure_risks(w, v, grid) - dense) <= tol)
+    tau = select_threshold(w, BandNoiseModel(variances=v, scale=scale), policy)
+    if tau != grid[np.argmin(dense)]:
+        # only a rounding-level near-tie with the dense minimum may differ
+        chosen = int(np.flatnonzero(grid == tau)[0])
+        assert dense[chosen] - dense.min() <= tol[chosen]
 
 
 def test_sure_ties_break_toward_smaller_tau():
