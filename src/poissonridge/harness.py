@@ -9,6 +9,7 @@ confidence intervals, variance-vs-intensity regressions, and a
 chi-square goodness-of-fit check for integer-valued variants.
 """
 
+import heapq
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2, poisson
 
-from .phantoms import make_phantom, sample_poisson
-from .radon import drt_gdb, drt_rotation, propagate_intensity
+from .phantoms import make_phantom, validate_intensity
+from .radon import _drt_gdb_stack, drt_rotation, propagate_intensity
 from .seeding import derive_rng
 from .wavelet import dwt_forward, wavelet_atom
 
@@ -29,6 +30,11 @@ __all__ = [
 ]
 
 LineFit = namedtuple("LineFit", ["slope", "intercept", "r_squared"])
+
+# Samples are transformed in batches holding about this many bytes of
+# Radon data each (one sample's sinogram is rates.nbytes), which keeps
+# peak memory flat; no result depends on it.
+_BATCH_BYTES = 2 ** 19
 
 
 def _normal_ci(values):
@@ -144,34 +150,67 @@ def _band_report(band, level, samples, s1, s2, d1, d2,
     )
 
 
-def _analysis_matrix(spec, level, band, n):
-    """Rows are analysis atoms, so matrix @ signal equals the band."""
-    nb = n // 2 ** level if spec.mode == "decimated" else n
-    rows = [wavelet_atom(spec, level, k, n, band=band) for k in range(nb)]
-    return np.stack(rows, axis=0)
+def _predicted_variance(rates, spec, band, level):
+    """Variance of one band of the transform of independent Poisson columns.
+
+    Coefficient k of the band is the inner product with the position-0
+    atom shifted by k * step bins (step 1 undecimated, 2**level
+    decimated), so its variance is the circular correlation of the
+    rates with the squared atom.
+    """
+    n = rates.shape[0]
+    atom = wavelet_atom(spec, level, 0, n, band=band)
+    step = 2 ** level if spec.mode == "decimated" else 1
+    pos = np.arange(0, n, step)
+    var = np.zeros((pos.size,) + rates.shape[1:])
+    for t in np.flatnonzero(atom):
+        var += atom[t] ** 2 * rates[(pos + t) % n]
+    return var
 
 
 def _merge_sparse_bins(expected, minimum=5.0):
     """Pool adjacent bins until each group's expectation reaches minimum.
 
-    Greedy: repeatedly fold the smallest group into its smaller neighbor.
-    Returns a list of index lists (possibly a single group).
+    Greedy: repeatedly fold the smallest group (the first one on ties)
+    into its smaller neighbor (the left one on ties). Returns a list of
+    index lists (possibly a single group).
     """
-    groups = [[k] for k in range(len(expected))]
     totals = [float(e) for e in expected]
-    while len(totals) > 1 and min(totals) < minimum:
-        i = int(np.argmin(totals))
-        if i == 0:
-            j = 1
-        elif i == len(totals) - 1:
-            j = i - 1
+    n = len(totals)
+    # live groups are keyed by their first bin and linked to their
+    # neighbors; the heap's least live (total, first bin) entry is the
+    # first smallest group. Entries whose group has since been absorbed
+    # or grown are stale and skipped.
+    alive = [True] * n
+    prev = list(range(-1, n - 1))       # first bin of the group before
+    end = list(range(1, n + 1))         # one past the group's last bin
+    heap = [(t, k) for k, t in enumerate(totals)]
+    heapq.heapify(heap)
+    live = n
+    while live > 1:
+        total, i = heap[0]
+        if not alive[i] or totals[i] != total:
+            heapq.heappop(heap)
+            continue
+        if total >= minimum:
+            break
+        heapq.heappop(heap)
+        left, right = prev[i], end[i]
+        if left < 0:
+            j = right
+        elif right == n:
+            j = left
         else:
-            j = i - 1 if totals[i - 1] <= totals[i + 1] else i + 1
-        lo, hi = sorted((i, j))
-        groups[lo] = groups[lo] + groups[hi]
+            j = left if totals[left] <= totals[right] else right
+        lo, hi = min(i, j), max(i, j)
         totals[lo] += totals[hi]
-        del groups[hi], totals[hi]
-    return groups
+        alive[hi] = False
+        end[lo] = end[hi]
+        if end[hi] < n:
+            prev[end[hi]] = lo
+        live -= 1
+        heapq.heappush(heap, (totals[lo], lo))
+    return [list(range(k, end[k])) for k in range(n) if alive[k]]
 
 
 def _gof_fraction(hist, rates, samples, alpha=0.01):
@@ -183,22 +222,32 @@ def _gof_fraction(hist, rates, samples, alpha=0.01):
     """
     flat_hist = hist.reshape(-1, hist.shape[-1])
     flat_rates = np.asarray(rates, dtype=float).ravel()
-    usable = flat_rates > 0
     top = hist.shape[-1] - 1
+
+    # sort the usable coefficients by rate once; each distinct rate is
+    # then one slice of the order, gathered with no per-rate mask
+    usable = np.flatnonzero(flat_rates > 0)
+    keys = np.round(flat_rates[usable], 9)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    coefs = usable[order]
+    lams, starts = np.unique(keys, return_index=True)
+    stops = np.append(starts[1:], keys.size)
 
     passed = 0
     tested = 0
-    keys = np.round(flat_rates[usable], 9)
-    for lam in np.unique(keys):
-        rows = flat_hist[usable][keys == lam]
+    for lam, start, stop in zip(lams, starts, stops):
         expected = np.empty(top + 1)
         expected[:top] = samples * poisson.pmf(np.arange(top), lam)
         expected[top] = samples * poisson.sf(top - 1, lam)
         groups = _merge_sparse_bins(expected)
         if len(groups) < 2:
             continue
-        folded = np.stack([rows[:, idx].sum(axis=1) for idx in groups], axis=1)
-        exp_folded = np.array([expected[idx].sum() for idx in groups])
+        # groups are runs of adjacent bins, so each folds with reduceat
+        rows = flat_hist[coefs[start:stop]]
+        folded = np.add.reduceat(rows, [idx[0] for idx in groups], axis=1)
+        exp_folded = np.array([expected[idx[0]:idx[-1] + 1].sum()
+                               for idx in groups])
         stat = ((folded - exp_folded) ** 2 / exp_folded).sum(axis=1)
         crit = chi2.ppf(1.0 - alpha, len(groups) - 1)
         passed += int((stat <= crit).sum())
@@ -208,9 +257,53 @@ def _gof_fraction(hist, rates, samples, alpha=0.01):
     return passed / tested, tested
 
 
+def _band_arrays(pyr, band_specs):
+    return [pyr.details[level - 1] if band == "detail" else pyr.approximation
+            for band, level in band_specs]
+
+
+class _BandSums:
+    """Running moments of one band, folded in sample order.
+
+    s1 and s2 are per-coefficient sums of values and squares; d1 and d2
+    sum each sample's mean deviation from the prediction over the valid
+    coefficients, and its square.
+    """
+
+    def __init__(self, mean, valid):
+        self.mean = mean
+        self.valid = valid
+        self.any_valid = bool(valid.any())
+        self.s1 = np.zeros_like(mean)
+        self.s2 = np.zeros_like(mean)
+        self.d1 = 0.0
+        self.d2 = 0.0
+
+    def add(self, stack):
+        """Fold in samples stacked along the last axis, first to last.
+
+        Every sum is taken one sample at a time in sample order, so the
+        totals do not depend on how the samples were batched.
+        """
+        squares = stack * stack
+        for k in range(stack.shape[-1]):
+            sample = stack[..., k]
+            self.s1 += sample
+            self.s2 += squares[..., k]
+            if self.any_valid:
+                diff = float((sample - self.mean)[self.valid].mean())
+                self.d1 += diff
+                self.d2 += diff * diff
+
+
 def run_distribution_experiment(spec, transform, samples, seed,
                                 wavelet=None, gof=False):
     """Sample noisy phantoms and summarize transform-coefficient statistics.
+
+    Samples are drawn and transformed in batches whose size is fixed by
+    a byte budget, not by any argument. Results do not depend on the
+    batch size: sample i always uses its own stream, and every sum is
+    accumulated one sample at a time in sample order.
 
     Parameters
     ----------
@@ -242,80 +335,66 @@ def run_distribution_experiment(spec, transform, samples, seed,
             "chi-square GOF needs integer-valued coefficients "
             "(gdb variant or nearest interpolation)")
 
-    intensity = make_phantom(spec)
-    true_sino = propagate_intensity(intensity, transform)
-    rates = true_sino.data
+    intensity = validate_intensity(make_phantom(spec))
+    rates = propagate_intensity(intensity, transform).data
     n_off, n_cols = rates.shape
 
     band_specs = []
+    pred_mean = []
     if wavelet is not None:
-        for level in range(1, wavelet.levels + 1):
-            band_specs.append(("detail", level))
+        band_specs = [("detail", level) for level in range(1, wavelet.levels + 1)]
         band_specs.append(("approximation", wavelet.levels))
-
-    matrices = [_analysis_matrix(wavelet, lvl, b, n_off) for b, lvl in band_specs]
-    pred_mean = [m @ rates for m in matrices]
-    pred_var = [(m ** 2) @ rates for m in matrices]
+        pred_mean = _band_arrays(dwt_forward(rates, wavelet), band_specs)
+    pred_var = [_predicted_variance(rates, wavelet, band, level)
+                for band, level in band_specs]
     drivers = [pm if b == "approximation" else pv
                for (b, _), pm, pv in zip(band_specs, pred_mean, pred_var)]
 
-    radon_valid = rates > 0
-    band_valid = [d > 0 for d in drivers]
+    radon = _BandSums(rates, rates > 0)
+    bands = [_BandSums(pm, d > 0) for pm, d in zip(pred_mean, drivers)]
 
-    s1_r = np.zeros_like(rates)
-    s2_r = np.zeros_like(rates)
-    d1_r = d2_r = 0.0
-    s1_w = [np.zeros_like(p) for p in pred_mean]
-    s2_w = [np.zeros_like(p) for p in pred_mean]
-    d1_w = [0.0] * len(band_specs)
-    d2_w = [0.0] * len(band_specs)
-
-    hist = None
     if gof:
         top = int(poisson.isf(1e-9, max(rates.max(), 1e-3))) + 1
-        hist = np.zeros((n_off * n_cols, top + 1), dtype=np.int64)
-        row_idx = np.arange(n_off * n_cols)
+        # flat (coefficient, outcome) counts; coefficient c's bins start
+        # at c * (top + 1)
+        hist = np.zeros(n_off * n_cols * (top + 1), dtype=np.int64)
+        bin_base = (np.arange(n_off * n_cols) * (top + 1))[:, None]
 
-    for i in range(samples):
-        rng = derive_rng(seed, "mc-sample", i)
-        counts = sample_poisson(intensity, rng=rng)
+    batch = max(1, _BATCH_BYTES // rates.nbytes)
+    for first in range(0, samples, batch):
+        counts = [derive_rng(seed, "mc-sample", i).poisson(intensity)
+                  .astype(np.int64)
+                  for i in range(first, min(first + batch, samples))]
         if transform.variant == "gdb":
-            data = drt_gdb(counts).data
+            data = _drt_gdb_stack(np.stack(counts, axis=-1))
         else:
-            data = drt_rotation(counts, angles=transform.angles,
-                                interp=transform.interp).data
-        s1_r += data
-        s2_r += data * data
-        if radon_valid.any():
-            diff = float((data - rates)[radon_valid].mean())
-            d1_r += diff
-            d2_r += diff * diff
-        if hist is not None:
-            vals = np.clip(np.rint(data).astype(np.int64).ravel(), 0, top)
-            np.add.at(hist, (row_idx, vals), 1)
+            data = np.stack([drt_rotation(c, angles=transform.angles,
+                                          interp=transform.interp).data
+                             for c in counts], axis=-1)
+        radon.add(data)
+        if gof:
+            # one unbuffered add for the batch; a bincount would zero and
+            # add a histogram-sized array every batch, about 4x slower
+            vals = np.clip(np.rint(data).astype(np.int64), 0, top)
+            np.add.at(hist, (bin_base + vals.reshape(n_off * n_cols, -1)).ravel(), 1)
         if band_specs:
-            pyr = dwt_forward(data, wavelet)
-            for j, (band, level) in enumerate(band_specs):
-                arr = pyr.details[level - 1] if band == "detail" else pyr.approximation
-                s1_w[j] += arr
-                s2_w[j] += arr * arr
-                if band_valid[j].any():
-                    diff = float((arr - pred_mean[j])[band_valid[j]].mean())
-                    d1_w[j] += diff
-                    d2_w[j] += diff * diff
+            # the batch's columns side by side: one analysis for them all
+            pyr = dwt_forward(data.reshape(n_off, -1), wavelet)
+            for acc, arr in zip(bands, _band_arrays(pyr, band_specs)):
+                acc.add(arr.reshape(arr.shape[0], n_cols, -1))
 
-    reports = [_band_report("radon", 0, samples, s1_r, s2_r, d1_r, d2_r,
-                            rates, rates.copy(), rates)]
+    reports = [_band_report("radon", 0, samples, radon.s1, radon.s2,
+                            radon.d1, radon.d2, rates, rates.copy(), rates)]
     if gof:
-        frac, tested = _gof_fraction(hist.reshape(n_off, n_cols, -1),
+        frac, tested = _gof_fraction(hist.reshape(n_off, n_cols, top + 1),
                                      rates, samples)
         reports[0].gof_pass_fraction = frac
         reports[0].gof_tested = tested
 
-    for j, (band, level) in enumerate(band_specs):
-        reports.append(_band_report(band, level, samples, s1_w[j], s2_w[j],
-                                    d1_w[j], d2_w[j], pred_mean[j],
-                                    pred_var[j], drivers[j]))
+    for acc, (band, level), pv, driver in zip(bands, band_specs, pred_var,
+                                              drivers):
+        reports.append(_band_report(band, level, samples, acc.s1, acc.s2,
+                                    acc.d1, acc.d2, acc.mean, pv, driver))
     return reports
 
 

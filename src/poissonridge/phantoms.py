@@ -65,8 +65,6 @@ class PhantomSpec:
     peak_factor : float
         The synthetic sinogram is scaled so its peak equals
         background_intensity x peak_factor.
-    rng_seed : int
-        Seed used when sampling counts for this phantom standalone.
     """
 
     kind: str = "homogeneous"
@@ -75,7 +73,6 @@ class PhantomSpec:
     structure_gain: float = 10.0
     structures: list = field(default_factory=_default_structures)
     peak_factor: float = 1.0
-    rng_seed: int = 0
 
 
 # Standard piecewise-constant head phantom: intensity, semi-axes a/b,

@@ -159,19 +159,23 @@ def gdb_lines(n, h, s):
 def _drt_single_quadrant(a):
     """All-line sums of one quadrant on its native orientation.
 
-    Input a[row, col], square with power-of-two edge n. Returns an array
-    of shape (n, 2n-1): [slope, intercept index], intercept h = idx-(n-1).
+    Input a[row, col, ...], square in its first two axes with
+    power-of-two edge n; trailing axes are a batch, each transformed on
+    its own. Returns an array of shape (n, 2n-1, ...):
+    [slope, intercept index, ...], intercept h = idx-(n-1).
     Runs the pairwise column-merge recursion, O(n^2 log n) adds.
     """
     n = a.shape[0]
+    batch = a.shape[2:]
     pad = n - 1                   # index of h = 0
     width_h = 3 * n - 2           # h in [-(n-1), 2n-2]; reads never exceed
-    z = np.zeros((n, 1, width_h))
-    z[:, 0, pad:pad + n] = a.T    # width-1 blocks: D_1(h, 0) sums a[h, col]
+    z = np.zeros((n, 1, width_h) + batch)
+    # width-1 blocks: D_1(h, 0) sums a[h, col]
+    z[:, 0, pad:pad + n] = np.swapaxes(a, 0, 1)
     width = 1
     while width < n:
         nb = z.shape[0] // 2
-        znew = np.zeros((nb, 2 * width, width_h))
+        znew = np.zeros((nb, 2 * width, width_h) + batch)
         left = z[0::2]
         right = z[1::2]
         for snew in range(2 * width):
@@ -187,21 +191,29 @@ def _drt_single_quadrant(a):
                 znew[:, snew, width_h - shift:] = left[:, shalf, width_h - shift:]
         z = znew
         width *= 2
-    return z[0, :, :2 * n - 1]    # [slope, h index], h in [-(n-1), n-1]
+    return z[0, :, :2 * n - 1]    # [slope, h index, ...], h in [-(n-1), n-1]
 
 
-def _pad_pow2(img):
-    arr = np.asarray(img, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {arr.shape}")
+def _drt_gdb_stack(stack):
+    """gdb sinogram data of images stacked along trailing axes.
+
+    stack[row, col, ...] gives data[offset, column, ...]. The image is
+    zero-padded to the next power-of-two square n and the quadrants are
+    laid out as in drt_gdb, which is this function on one 2-D image.
+    Every batch entry is bit-identical to transforming it alone.
+    """
+    arr = np.asarray(stack, dtype=float)
     n = 1
-    while n < max(arr.shape):
+    while n < max(arr.shape[:2]):
         n *= 2
-    if arr.shape == (n, n):
-        return arr, n
-    out = np.zeros((n, n))
-    out[:arr.shape[0], :arr.shape[1]] = arr
-    return out, n
+    a = np.zeros((n, n) + arr.shape[2:])
+    a[:arr.shape[0], :arr.shape[1]] = arr
+    views = (a, np.swapaxes(a, 0, 1), a[::-1], np.swapaxes(a[:, ::-1], 0, 1))
+    data = np.empty((2 * n - 1, 4 * n) + arr.shape[2:])
+    for q, view in enumerate(views):
+        # quadrant block columns are slopes; rows are intercepts
+        data[:, q * n:(q + 1) * n] = np.swapaxes(_drt_single_quadrant(view), 0, 1)
+    return data
 
 
 def drt_gdb(img):
@@ -213,16 +225,15 @@ def drt_gdb(img):
     q1 sums X_{i,j}, q2 sums X_{j,i}, q3 sums X_{i,n-1-j},
     q4 sums X_{n-1-j,i}.
     """
-    a, n = _pad_pow2(img)
-    views = (a, a.T, np.flipud(a), np.fliplr(a).T)
-    data = np.empty((2 * n - 1, 4 * n))
-    for q, view in enumerate(views):
-        # quadrant block columns are slopes; rows are intercepts
-        data[:, q * n:(q + 1) * n] = _drt_single_quadrant(np.ascontiguousarray(view)).T
+    arr = np.asarray(img, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"image must be 2-D, got shape {arr.shape}")
+    data = _drt_gdb_stack(arr)
+    n = data.shape[1] // 4
     return Sinogram(
         variant="gdb",
         data=data,
-        image_shape=np.asarray(img).shape,
+        image_shape=arr.shape,
         offset_min=-(n - 1),
         gdb_size=n,
     )

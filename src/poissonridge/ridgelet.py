@@ -16,8 +16,8 @@ from .radon import Sinogram, TransformConfig, drt_gdb, drt_rotation, \
     fbp_invert, propagate_intensity
 from .shrinkage import ThresholdPolicy, apply_shrinkage, estimate_band_noise, \
     select_pyramid_thresholds
-from .wavelet import WaveletPyramid, WaveletSpec, approximation_chain, \
-    dwt_forward, dwt_inverse
+from .wavelet import WaveletPyramid, WaveletSpec, _check_length, \
+    approximation_chain, dwt_forward, dwt_inverse
 
 __all__ = [
     "RidgeletCoeffs",
@@ -179,7 +179,10 @@ def denoise_full(noisy, config, reference=None):
     ------
     ValueError
         Before any transform runs, if noisy or reference is not a finite,
-        non-negative 2-D array, or if the two differ in shape.
+        non-negative 2-D array, or if the two differ in shape; in
+        sinogram mode also if the wavelet cannot analyze columns of
+        noisy's height (an undecimated 2**levels above it, or a
+        decimated 2**levels that does not divide it).
     """
     noisy = _nonnegative_grid(noisy, "noisy counts", "count")
     if reference is not None:
@@ -191,6 +194,7 @@ def denoise_full(noisy, config, reference=None):
     if config.policy.selector == "oracle-erm" and reference is None:
         raise ValueError("oracle-erm selection requires a reference image")
     if config.entry == "sinogram":
+        _check_length(noisy.shape[0], config.wavelet)
         est, taus = _shrink_columns(noisy, config.wavelet, config.policy,
                                     reference)
         if config.clamp_negative:

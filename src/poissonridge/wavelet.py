@@ -142,6 +142,23 @@ def _check_decimated_length(n, spec, taps):
             f"a {len(taps)}-tap filter")
 
 
+def _check_undecimated_length(n, spec):
+    # the level-j holes are 2**(j-1) apart, so beyond log2(n) levels the
+    # filters wrap onto themselves and the bands stop meaning anything
+    if 2 ** spec.levels > n:
+        raise ValueError(
+            f"undecimated mode at {spec.levels} levels requires length at "
+            f"least {2 ** spec.levels}; got {n}")
+
+
+def _check_length(n, spec):
+    """Raise ValueError unless spec can analyze signals of length n."""
+    if spec.mode == "decimated":
+        _check_decimated_length(n, spec, _filter_pair(spec.filter)[0])
+    else:
+        _check_undecimated_length(n, spec)
+
+
 def dwt_forward(x, spec):
     """Run the multi-level analysis transform.
 
@@ -158,8 +175,8 @@ def dwt_forward(x, spec):
     arr = _as_signal(x)
     lo, hi = _filter_pair(spec.filter)
     n = arr.shape[0]
+    _check_length(n, spec)
     if spec.mode == "decimated":
-        _check_decimated_length(n, spec, lo)
         details = []
         a = arr
         for _ in range(spec.levels):
@@ -207,8 +224,7 @@ def approximation_chain(x, spec):
     """
     arr = _as_signal(x)
     lo, _ = _filter_pair(spec.filter)
-    if spec.mode == "decimated":
-        _check_decimated_length(arr.shape[0], spec, lo)
+    _check_length(arr.shape[0], spec)
     out = []
     a = arr
     for level in range(1, spec.levels + 1):
@@ -257,8 +273,7 @@ def wavelet_atom(spec, level, k, n, band="detail"):
     if not 1 <= level <= spec.levels:
         raise ValueError(f"level must be in 1..{spec.levels}, got {level}")
     lo, hi = _filter_pair(spec.filter)
-    if spec.mode == "decimated":
-        _check_decimated_length(n, spec, lo)
+    _check_length(n, spec)
     nb = _band_length(spec, level, n)
     if not 0 <= k < nb:
         raise ValueError(f"position must be in 0..{nb - 1}, got {k}")

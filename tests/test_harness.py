@@ -1,12 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2, poisson
 
-from poissonridge.harness import (DistReport, LineFit,
+import poissonridge.harness as harness
+from poissonridge.harness import (DistReport, LineFit, _merge_sparse_bins,
+                                  _predicted_variance,
                                   run_distribution_experiment,
                                   variance_vs_intensity)
-from poissonridge.phantoms import PhantomSpec
-from poissonridge.radon import TransformConfig
-from poissonridge.wavelet import WaveletSpec, dwt_forward
+from poissonridge.phantoms import PhantomSpec, make_phantom, sample_poisson
+from poissonridge.radon import (TransformConfig, drt_gdb, drt_rotation,
+                                propagate_intensity)
+from poissonridge.seeding import derive_rng
+from poissonridge.wavelet import WaveletSpec, dwt_forward, wavelet_atom
 
 SPEC = PhantomSpec(kind="inhomogeneous", size=16, background_intensity=0.5,
                    structure_gain=10.0)
@@ -148,3 +157,186 @@ def test_variance_vs_intensity_inputs(gdb_reports):
         variance_vs_intensity(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         variance_vs_intensity(np.zeros((5, 3)))
+
+
+# --- one sample at a time: the loop the batched harness must reproduce ----
+
+def greedy_merge(expected, minimum=5.0):
+    # the straightforward greedy loop: fold the first smallest group into
+    # its smaller neighbor (left on ties) until every group reaches minimum
+    groups = [[k] for k in range(len(expected))]
+    totals = [float(e) for e in expected]
+    while len(totals) > 1 and min(totals) < minimum:
+        i = int(np.argmin(totals))
+        if i == 0:
+            j = 1
+        elif i == len(totals) - 1:
+            j = i - 1
+        else:
+            j = i - 1 if totals[i - 1] <= totals[i + 1] else i + 1
+        lo, hi = sorted((i, j))
+        groups[lo] = groups[lo] + groups[hi]
+        totals[lo] += totals[hi]
+        del groups[hi], totals[hi]
+    return groups
+
+
+def expected_counts(lam, samples, top):
+    expected = np.empty(top + 1)
+    expected[:top] = samples * poisson.pmf(np.arange(top), lam)
+    expected[top] = samples * poisson.sf(top - 1, lam)
+    return expected
+
+
+def gof_per_rate_masks(hist, rates, samples, alpha=0.01):
+    flat_hist = hist.reshape(-1, hist.shape[-1])
+    flat_rates = rates.ravel()
+    usable = flat_rates > 0
+    top = hist.shape[-1] - 1
+    passed = tested = 0
+    keys = np.round(flat_rates[usable], 9)
+    for lam in np.unique(keys):
+        rows = flat_hist[usable][keys == lam]
+        expected = expected_counts(lam, samples, top)
+        groups = greedy_merge(expected)
+        if len(groups) < 2:
+            continue
+        folded = np.stack([rows[:, idx].sum(axis=1) for idx in groups], axis=1)
+        exp_folded = np.array([expected[idx].sum() for idx in groups])
+        stat = ((folded - exp_folded) ** 2 / exp_folded).sum(axis=1)
+        passed += int((stat <= chi2.ppf(1.0 - alpha, len(groups) - 1)).sum())
+        tested += rows.shape[0]
+    return (passed / tested, tested) if tested else (float("nan"), 0)
+
+
+def dense_atoms(spec, level, band, n):
+    nb = n // 2 ** level if spec.mode == "decimated" else n
+    return np.stack([wavelet_atom(spec, level, k, n, band=band)
+                     for k in range(nb)])
+
+
+def one_sample_at_a_time(spec, transform, samples, seed, wavelet):
+    """Per-band sums and predictions, one projection per sample."""
+    intensity = make_phantom(spec)
+    rates = propagate_intensity(intensity, transform).data
+    bands = [("radon", 0, rates, rates, rates)]
+    if wavelet is not None:
+        pyr = dwt_forward(rates, wavelet)
+        for level in range(1, wavelet.levels + 1):
+            var = dense_atoms(wavelet, level, "detail", rates.shape[0]) ** 2 @ rates
+            bands.append(("detail", level, pyr.details[level - 1], var, var))
+        atoms = dense_atoms(wavelet, wavelet.levels, "approximation",
+                            rates.shape[0])
+        bands.append(("approximation", wavelet.levels, pyr.approximation,
+                      atoms ** 2 @ rates, pyr.approximation))
+    sums = [dict(s1=0.0, s2=0.0, d1=0.0, d2=0.0) for _ in bands]
+    top = int(poisson.isf(1e-9, max(rates.max(), 1e-3))) + 1
+    hist = np.zeros((rates.size, top + 1), dtype=np.int64)
+    for i in range(samples):
+        counts = sample_poisson(intensity, rng=derive_rng(seed, "mc-sample", i))
+        if transform.variant == "gdb":
+            data = drt_gdb(counts).data
+        else:
+            data = drt_rotation(counts, angles=transform.angles,
+                                interp=transform.interp).data
+        np.add.at(hist, (np.arange(rates.size),
+                         np.clip(np.rint(data).astype(np.int64).ravel(), 0, top)), 1)
+        arrays = [data]
+        if wavelet is not None:
+            pyr = dwt_forward(data, wavelet)
+            arrays += pyr.details + [pyr.approximation]
+        for acc, arr, (_, _, mean, _, driver) in zip(sums, arrays, bands):
+            acc["s1"] = acc["s1"] + arr
+            acc["s2"] = acc["s2"] + arr * arr
+            if (driver > 0).any():
+                diff = float((arr - mean)[driver > 0].mean())
+                acc["d1"] += diff
+                acc["d2"] += diff * diff
+    return bands, sums, gof_per_rate_masks(hist, rates, samples)
+
+
+BATCH_CASES = [
+    (TransformConfig("gdb"), 101, WaveletSpec("haar", 2, "undecimated")),
+    (TransformConfig("gdb"), 203, WaveletSpec("db2", 2, "undecimated")),
+    (TransformConfig("rotation", angles=12, interp="nearest"), 150, None),
+]
+
+
+@pytest.mark.parametrize("batch_bytes", [None, 1])
+@pytest.mark.parametrize("transform, samples, wavelet", BATCH_CASES)
+def test_batched_run_matches_one_sample_at_a_time(monkeypatch, batch_bytes,
+                                                  transform, samples, wavelet):
+    # 101 and 203 are not multiples of any batch size the default budget
+    # gives here; a 1-byte budget forces one sample per batch
+    if batch_bytes is not None:
+        monkeypatch.setattr(harness, "_BATCH_BYTES", batch_bytes)
+    reports = run_distribution_experiment(SPEC, transform, samples, 4,
+                                          wavelet=wavelet, gof=True)
+    bands, sums, (frac, tested) = one_sample_at_a_time(
+        SPEC, transform, samples, 4, wavelet)
+    assert [(r.band, r.level) for r in reports] == [b[:2] for b in bands]
+    for r, (_, _, mean, var, driver), acc in zip(reports, bands, sums):
+        emp_mean = acc["s1"] / samples
+        emp_var = np.maximum((acc["s2"] - acc["s1"] * emp_mean) / (samples - 1), 0.0)
+        assert np.array_equal(r.empirical_mean, emp_mean)
+        assert np.array_equal(r.empirical_variance, emp_var)
+        diff_mean = acc["d1"] / samples
+        diff_sd = math.sqrt(max(acc["d2"] - acc["d1"] * diff_mean, 0.0)
+                            / (samples - 1))
+        half = 1.96 * diff_sd / math.sqrt(samples)
+        assert r.mean_diff == diff_mean
+        assert r.mean_diff_ci == (diff_mean - half, diff_mean + half)
+        ok = (driver > 0) & (emp_var > 0)
+        assert r.mean_var_ratio == float((emp_mean[ok] / emp_var[ok]).mean())
+        assert np.array_equal(r.predicted_mean, mean)
+        # the atom correlation rounds differently from the dense product
+        assert np.allclose(r.predicted_variance, var, rtol=0, atol=1e-12)
+        assert np.array_equal(r.predicted_variance == 0, var == 0)
+    assert reports[0].gof_pass_fraction == frac
+    assert reports[0].gof_tested == tested
+
+
+@pytest.mark.parametrize("mode", ["undecimated", "decimated"])
+@pytest.mark.parametrize("filt", ["haar", "db2"])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_band_predictions_match_dense_atoms(mode, filt, levels):
+    # a shifted atom per coefficient is exactly a row of the dense atom
+    # matrix, so mean and variance agree with it to rounding, and the
+    # variance has the same zeros (its terms are never negative)
+    spec = WaveletSpec(filt, levels, mode)
+    rng = np.random.default_rng(levels)
+    rates = rng.uniform(0.0, 20.0, size=(32, 3))
+    rates[5:15, 1] = 0.0
+    rates[:, 2] = 0.0
+    pyr = dwt_forward(rates, spec)
+    for band, level in [("detail", lv) for lv in range(1, levels + 1)] + [
+            ("approximation", levels)]:
+        atoms = dense_atoms(spec, level, band, 32)
+        var = _predicted_variance(rates, spec, band, level)
+        mean = pyr.details[level - 1] if band == "detail" else pyr.approximation
+        assert np.allclose(mean, atoms @ rates, rtol=0, atol=1e-12)
+        assert np.allclose(var, atoms ** 2 @ rates, rtol=0, atol=1e-12)
+        assert np.array_equal(var == 0, atoms ** 2 @ rates == 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(min_value=1e-6, max_value=200.0),
+       samples=st.integers(min_value=100, max_value=2000))
+def test_merge_matches_greedy_loop_on_poisson_bins(lam, samples):
+    expected = expected_counts(lam, samples,
+                               int(poisson.isf(1e-9, max(lam, 1e-3))) + 1)
+    assert _merge_sparse_bins(expected) == greedy_merge(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=12.0), min_size=1,
+                max_size=40))
+@example([0.0])
+@example([3.0, 3.0, 3.0, 3.0])
+@example([1.0, 9.0, 0.5, 0.5, 9.0, 1.0])
+@example([6.0, 0.0, 6.0, 0.0, 6.0, 0.0, 2.0])
+@example([2.5, 2.5, 0.1, 7.0, 0.1, 2.5, 2.5, 40.0, 0.2])
+@example([4.0, 1.0, 4.0, 1.0, 4.0, 1.0, 4.0])
+def test_merge_matches_greedy_loop_on_any_vector(expected):
+    # multi-modal, tied and all-sparse vectors exercise every tie rule
+    assert _merge_sparse_bins(expected) == greedy_merge(expected)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from poissonridge.radon import (Sinogram, TransformConfig, _trapezoid_cdf,
-                                drt_gdb, drt_rotation, fbp_invert, gdb_lines,
+from poissonridge.radon import (Sinogram, TransformConfig, _drt_gdb_stack,
+                                _trapezoid_cdf, drt_gdb, drt_rotation, fbp_invert, gdb_lines,
                                 propagate_intensity)
 
 
@@ -107,6 +107,25 @@ def test_drt_gdb_delta_image_hits_one_line_per_family():
     # a point mass lies on exactly one line of each (quadrant, slope) family
     assert np.allclose(data.sum(axis=0), 1.0)
     assert set(np.unique(data)) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (16, 16), (13, 32)])
+def test_drt_gdb_stack_is_per_image_drt_gdb(shape):
+    # a trailing batch axis runs the same recursion on every image:
+    # bit-identical, including non-integer and padded inputs
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.uniform(0.0, 3.0, size=shape + (5,))
+    data = _drt_gdb_stack(stack)
+    n = drt_gdb(stack[..., 0]).gdb_size
+    assert data.shape == (2 * n - 1, 4 * n, 5)
+    for k in range(5):
+        assert np.array_equal(data[..., k], drt_gdb(stack[..., k]).data)
+    assert np.array_equal(_drt_gdb_stack(stack[..., 2]), data[..., 2])
+
+
+def test_drt_gdb_rejects_non_2d_images():
+    with pytest.raises(ValueError, match="2-D"):
+        drt_gdb(np.ones((4, 4, 2)))
 
 
 def test_sinogram_offsets_and_gdb_column():

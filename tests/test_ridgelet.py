@@ -215,3 +215,16 @@ def test_denoise_rejects_reference_of_other_shape():
     cfg = DenoiseConfig(policy=ThresholdPolicy(selector="oracle-erm"))
     with pytest.raises(ValueError, match="shape"):
         denoise_full(np.ones((16, 16)), cfg, reference=np.ones((16, 8)))
+
+
+def test_sinogram_entry_rejects_over_deep_undecimated_levels(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a transform ran with an impossible depth")
+
+    for name in ("dwt_forward", "approximation_chain", "dwt_inverse"):
+        monkeypatch.setattr(ridgelet, name, never)
+    cfg = DenoiseConfig(entry="sinogram",
+                        wavelet=WaveletSpec("haar", 8, "undecimated"),
+                        policy=ThresholdPolicy(selector="sure"))
+    with pytest.raises(ValueError, match="at least 256; got 16"):
+        denoise_full(np.full((16, 8), 3.0), cfg)

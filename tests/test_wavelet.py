@@ -73,6 +73,25 @@ def test_decimated_length_divisibility_enforced():
             dwt_forward(x, WaveletSpec("haar", levels, "decimated"))
 
 
+@pytest.mark.parametrize("filt", ["haar", "db2"])
+def test_undecimated_levels_limited_to_log2_length(filt):
+    # holes of 2**(level-1) wrap onto themselves once 2**levels exceeds
+    # the length, so every entry point refuses that depth
+    spec = WaveletSpec(filt, 5, "undecimated")
+    x = np.ones((16, 3))
+    with pytest.raises(ValueError, match="at least 32; got 16"):
+        dwt_forward(x, spec)
+    with pytest.raises(ValueError, match="at least 32; got 16"):
+        approximation_chain(x, spec)
+    with pytest.raises(ValueError, match="at least 32; got 16"):
+        wavelet_atom(spec, 1, 0, 16)
+    # 2**levels equal to the length is still accepted
+    ok = WaveletSpec(filt, 4, "undecimated")
+    assert len(dwt_forward(x, ok).details) == 4
+    assert len(approximation_chain(x, ok)) == 4
+    assert wavelet_atom(ok, 4, 0, 16).shape == (16,)
+
+
 def test_signal_shape_validation():
     spec = WaveletSpec("haar", 1, "undecimated")
     with pytest.raises(ValueError):
