@@ -16,6 +16,7 @@ Conventions: the subscript pair (i, j) means column i, row j; for a numpy
 array ``a`` that is ``a[j, i]``. Out-of-range points contribute zero.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +270,120 @@ def _trapezoid_cdf(u, a, b):
     return out
 
 
+def _drt_rotation_stack(stack, thetas, interp):
+    """Rotation sinogram data of images stacked along trailing axes.
+
+    stack[row, col, ...] gives data[offset, angle, ...] for the angles
+    thetas (radians); drt_rotation is this function on one 2-D image.
+    Every angle deposits all taps of all batch entries with one
+    np.bincount, entry k's bins offset by k * nr and, within an entry,
+    in the same (tap, pixel) order as a single image, so every batch
+    entry is bit-identical to transforming it alone.
+    """
+    arr = np.asarray(stack, dtype=float)
+    h, w = arr.shape[:2]
+    batch = arr.shape[2:]
+    vals = arr.reshape(h * w, math.prod(batch)).T.copy()     # (K, pixels)
+    n_batch, npix = vals.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    radius = int(np.ceil(np.hypot(cy, cx))) + 2
+    nr = 2 * radius + 1
+    ys = np.arange(h) - cy
+    xs = np.arange(w) - cx
+    max_taps = {"nearest": 1, "linear": 2, "area": 4}[interp]
+    # per-angle buffers, reused: offsets r, floor(r) (or rint(r)) and
+    # r - floor(r), the first bin, tap weights, deposit bins and weights
+    ysin, xcos = np.empty(h), np.empty(w)
+    r = np.empty((h, w))
+    flat_r = r.reshape(-1)
+    base, frac = np.empty(npix), np.empty(npix)
+    first = np.empty(npix, dtype=np.intp)
+    taps = np.ones((max_taps, npix))             # nearest keeps tap 1.0
+    u, clip = np.empty(npix), np.empty(npix)
+    bin_buf = np.empty(n_batch * max_taps * npix, dtype=np.intp)
+    weight_buf = np.empty(n_batch * max_taps * npix)
+    entry_offsets = (np.arange(1, n_batch) * nr)[:, None, None]
+    out = np.empty((nr, len(thetas), n_batch))
+    for k, t in enumerate(thetas):
+        ct, st = np.cos(t), np.sin(t)
+        np.add.outer(np.multiply(ys, st, out=ysin),
+                     np.multiply(xs, ct, out=xcos), out=r)
+        if interp == "nearest":
+            np.rint(flat_r, out=base)
+            n_taps, lead = 1, 0
+        else:
+            np.floor(flat_r, out=base)
+            np.subtract(flat_r, base, out=frac)
+            a, b = max(abs(ct), abs(st)), min(abs(ct), abs(st))
+            if interp == "linear" or b < 1e-12:
+                # an axis-aligned area footprint is box(1), which overlaps
+                # unit bins exactly as linear interpolation splits mass
+                np.subtract(1.0, frac, out=taps[0])
+                taps[1] = frac
+                n_taps, lead = 2, 0
+            else:
+                _area_taps(frac, a, b, taps, u, clip)
+                n_taps, lead = 4, -1
+        # entry e, tap m, pixel p deposits into bin e*nr + first[p] + m
+        size = n_batch * n_taps * npix
+        bins = bin_buf[:size].reshape(n_batch, n_taps, npix)
+        weights = weight_buf[:size].reshape(n_batch, n_taps, npix)
+        np.copyto(first, base, casting="unsafe")
+        np.add(first, radius + lead, out=first)
+        np.add(first, np.arange(n_taps)[:, None], out=bins[0])
+        np.add(bins[0], entry_offsets, out=bins[1:])
+        np.multiply(vals[:, None, :], taps[:n_taps], out=weights)
+        dep = np.bincount(bins.reshape(-1), weights.reshape(-1),
+                          minlength=n_batch * nr)
+        out[:, k] = dep.reshape(n_batch, nr).T
+    return out.reshape((nr, len(thetas)) + batch)
+
+
+def _area_taps(frac, a, b, taps, u, clip):
+    """Area-footprint weights of the 4 bins floor(r) - 1 .. floor(r) + 2.
+
+    The footprint of a unit pixel at angle t is box(a) convolved with
+    box(b), a = max(|cos t|, |sin t|) >= b = min(..) > 0; its CDF is
+    _trapezoid_cdf. The half-width c = (a + b) / 2 lies in (1/2, 1/sqrt 2],
+    so the CDF is 0 at the outer edge -3/2 - f and 1 at 5/2 - f
+    (f = frac = r - floor(r)), and each inner edge u = [-1/2, 1/2, 3/2] - f
+    falls on a known piece, with no mask: the first on the left parabola,
+    the last on the right one, and the middle one is the linear piece at
+    w = clip(u, -d, d), d = (a - b) / 2, plus the parabola's excess
+    e (2b - |e|) / 2ab at e = u - w. (Summing the squared pieces
+    directly cancels catastrophically as b -> 0.) taps[0..3] get
+    F0, F1 - F0, F2 - F1, 1 - F2, each >= 0; u and clip are work buffers.
+    """
+    c = (a + b) / 2.0
+    d = (a - b) / 2.0
+    inv_s = 1.0 / (2.0 * a * b)
+    f0, f1, f2, tail = taps
+    # F0 = max(c - 1/2 - f, 0)^2 / 2ab and 1 - F2 = max(f - 3/2 + c, 0)^2 / 2ab
+    np.subtract(c - 0.5, frac, out=f0)
+    np.maximum(f0, 0.0, out=f0)
+    np.square(f0, out=f0)
+    np.multiply(f0, inv_s, out=f0)
+    np.subtract(frac, 1.5 - c, out=tail)
+    np.maximum(tail, 0.0, out=tail)
+    np.square(tail, out=tail)
+    np.multiply(tail, inv_s, out=tail)
+    # F1 = 1/2 + w / a + e (2b - |e|) / 2ab at u = 1/2 - f
+    np.subtract(0.5, frac, out=u)
+    np.clip(u, -d, d, out=clip)
+    np.subtract(u, clip, out=u)
+    np.abs(u, out=f1)
+    np.subtract(2.0 * b, f1, out=f1)
+    np.multiply(f1, u, out=f1)
+    np.multiply(f1, inv_s, out=f1)
+    np.multiply(clip, 1.0 / a, out=clip)
+    np.add(clip, 0.5, out=clip)
+    np.add(f1, clip, out=f1)
+    # the middle taps: F2 - F1 = (1 - F1) - (1 - F2), then F1 - F0
+    np.subtract(1.0, f1, out=f2)
+    np.subtract(f2, tail, out=f2)
+    np.subtract(f1, f0, out=f1)
+
+
 def drt_rotation(img, angles=180, interp="linear"):
     """Radon transform on angle bins over [0, pi).
 
@@ -294,48 +409,12 @@ def drt_rotation(img, angles=180, interp="linear"):
     if arr.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {arr.shape}")
     thetas = _angle_array(angles)
-    h, w = arr.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    radius = int(np.ceil(np.hypot(cy, cx))) + 2
-    nr = 2 * radius + 1
-    jj, ii = np.mgrid[0:h, 0:w]
-    x = (ii.ravel() - cx).astype(float)
-    y = (jj.ravel() - cy).astype(float)
-    v = arr.ravel()
-    # inner edges, relative to floor(r), of the four bins floor(r) - 1 ..
-    # floor(r) + 2 that a tilted area footprint can reach: its half-width
-    # (a + b) / 2 is at most 1 / sqrt(2), so the footprint CDF is exactly
-    # 0 at the outer edge -1.5 and 1 at the outer edge 2.5
-    area_edges = np.array([[-0.5], [0.5], [1.5]])
-    out = np.empty((nr, thetas.size))
-    for k, t in enumerate(thetas):
-        r = x * np.cos(t) + y * np.sin(t)
-        if interp == "nearest":
-            first = np.rint(r).astype(np.int64)
-            taps = (v,)
-        else:
-            base = np.floor(r)
-            ct, st = abs(np.cos(t)), abs(np.sin(t))
-            a, b = max(ct, st), min(ct, st)
-            if interp == "linear" or b < 1e-12:
-                # an axis-aligned area footprint is box(1), which overlaps
-                # unit bins exactly as linear interpolation splits mass
-                frac = r - base
-                first = base.astype(np.int64)
-                taps = (v * (1.0 - frac), v * frac)
-            else:
-                cdf = _trapezoid_cdf(base + area_edges - r, a, b)
-                first = base.astype(np.int64) - 1
-                taps = (v * cdf[0], v * (cdf[1] - cdf[0]),
-                        v * (cdf[2] - cdf[1]), v * (1.0 - cdf[2]))
-        first += radius
-        bins = np.concatenate([first + m for m in range(len(taps))])
-        out[:, k] = np.bincount(bins, np.concatenate(taps), minlength=nr)
+    data = _drt_rotation_stack(arr, thetas, interp)
     return Sinogram(
         variant="rotation",
-        data=out,
+        data=data,
         image_shape=arr.shape,
-        offset_min=-radius,
+        offset_min=-(data.shape[0] // 2),
         angles=thetas,
         interp=interp,
     )
@@ -374,8 +453,10 @@ def fbp_invert(sino):
     """Filtered backprojection of a rotation-variant sinogram.
 
     Ramp-filters each projection (spatial-domain kernel, FFT applied,
-    zero-padded against circular wrap), backprojects with linear
-    interpolation on the offset axis and clamps negatives to zero.
+    zero-padded against circular wrap) and backprojects with linear
+    interpolation on the offset axis. The result is the raw
+    reconstruction: the ramp filter's negative lobes are kept, and
+    clipping them is left to the caller (denoise's clamp_negative).
     """
     if sino.variant != "rotation":
         raise ValueError(
@@ -398,4 +479,4 @@ def fbp_invert(sino):
         r = xg * np.cos(t) + yg * np.sin(t)
         rec += np.interp(r, roffs, filtered[:, k], left=0.0, right=0.0)
     rec *= np.pi / (2 * len(sino.angles))
-    return np.clip(rec, 0.0, None)
+    return rec

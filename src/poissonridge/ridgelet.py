@@ -66,7 +66,8 @@ class DenoiseConfig:
     with filtered backprojection) or ``"sinogram"`` (counts already on a
     sinogram grid, denoised in place along the offset axis with no
     transform or backprojection). clamp_negative zeroes negative pixels
-    of the final estimate.
+    of the final estimate; with it off, image mode returns the raw
+    filtered backprojection, negative lobes included.
     """
 
     transform: TransformConfig = field(
@@ -137,7 +138,8 @@ def _rebuild_sinogram(coeffs, data):
 def ridgelet_inverse(coeffs):
     """Wavelet synthesis then filtered backprojection.
 
-    Only rotation-variant coefficients can be backprojected; gdb
+    Returns the raw backprojection, negative values included. Only
+    rotation-variant coefficients can be backprojected; gdb
     coefficients raise the fbp error.
     """
     data = dwt_inverse(coeffs.pyramid)

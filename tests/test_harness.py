@@ -144,6 +144,21 @@ def test_validation_errors():
         run_distribution_experiment(SPEC, cfg, 100, 0, gof=True)
 
 
+@pytest.mark.parametrize("transform", [
+    TransformConfig("gdb"), TransformConfig("rotation", 12, "nearest")])
+def test_decimated_wavelet_rejected_before_sampling(monkeypatch, transform):
+    # Radon columns have an odd number of offsets, which a decimated
+    # transform can never analyze: fail at entry, pointing at the fix
+    def never(*args, **kwargs):
+        raise AssertionError("sampling started with a decimated wavelet")
+
+    for name in ("make_phantom", "derive_rng", "propagate_intensity"):
+        monkeypatch.setattr(harness, name, never)
+    with pytest.raises(ValueError, match="odd length.*undecimated"):
+        run_distribution_experiment(SPEC, transform, 100, 0,
+                                    wavelet=WaveletSpec("haar", 1, "decimated"))
+
+
 def test_variance_vs_intensity_inputs(gdb_reports):
     r = gdb_reports[0]
     fit = variance_vs_intensity(r)

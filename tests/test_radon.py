@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from poissonridge.radon import (Sinogram, TransformConfig, _drt_gdb_stack,
+from poissonridge.radon import (Sinogram, TransformConfig, _area_taps,
+                                _drt_gdb_stack, _drt_rotation_stack,
                                 _trapezoid_cdf, drt_gdb, drt_rotation, fbp_invert, gdb_lines,
                                 propagate_intensity)
 
@@ -255,6 +258,58 @@ def test_rotation_matches_per_tap_reference(interp, shape, angles):
     assert sino.data.min() >= 0.0
 
 
+# just above the 1e-12 cut below which area falls back to linear taps
+NEAR_AXIS = 1.0000001e-12
+ONE_MINUS_ULP = np.nextafter(1.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.one_of(st.floats(0.0, np.pi, exclude_max=True),
+                   st.sampled_from([np.pi / 4, 3 * np.pi / 4, NEAR_AXIS,
+                                    np.pi / 2 - NEAR_AXIS,
+                                    np.pi / 2 + NEAR_AXIS,
+                                    np.pi - NEAR_AXIS])),
+       fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+       whole=st.integers(-300, 300))
+@example(t=np.pi / 4, fracs=[0.5, 0.2071, 0.7929], whole=0)
+@example(t=NEAR_AXIS, fracs=[0.5, 1e-13, ONE_MINUS_ULP - 1e-13], whole=-1)
+def test_area_taps_match_trapezoid_cdf(t, fracs, whole):
+    # the closed-form edge CDFs equal the piecewise reference at the
+    # inner edges floor(r) + [-1/2, 1/2, 3/2] - r, down to b just above
+    # the axis-aligned cut, and every tap is non-negative exactly
+    a = max(abs(np.cos(t)), abs(np.sin(t)))
+    b = min(abs(np.cos(t)), abs(np.sin(t)))
+    assume(b >= 1e-12)
+    r = whole + np.array([0.0, ONE_MINUS_ULP] + fracs)
+    base = np.floor(r)
+    frac = r - base
+    taps = np.empty((4, r.size))
+    _area_taps(frac, a, b, taps, np.empty(r.size), np.empty(r.size))
+    ref = _trapezoid_cdf(base + np.array([[-0.5], [0.5], [1.5]]) - r, a, b)
+    closed = np.array([taps[0], taps[0] + taps[1], 1.0 - taps[3]])
+    assert np.abs(closed - ref).max() <= 1e-15
+    assert taps.min() >= 0.0
+    assert np.abs(taps.sum(axis=0) - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("interp", ["nearest", "linear", "area"])
+@pytest.mark.parametrize("shape", [(7, 12), (16, 9), (5, 5)])
+@pytest.mark.parametrize("n_images", [1, 3])
+def test_drt_rotation_stack_is_per_image_drt_rotation(interp, shape, n_images):
+    # every batch entry is bit-identical to projecting it alone,
+    # axis-aligned and diagonal angles included
+    rng = np.random.default_rng(sum(shape) + n_images)
+    stack = rng.uniform(0.0, 4.0, size=shape + (n_images,))
+    thetas = np.array([0.0, 0.2, np.pi / 4, np.pi / 2, 2.5])
+    data = _drt_rotation_stack(stack, thetas, interp)
+    for k in range(n_images):
+        sino = drt_rotation(stack[..., k], angles=thetas, interp=interp)
+        assert data.shape == sino.data.shape + (n_images,)
+        assert np.array_equal(data[..., k], sino.data)
+    assert np.array_equal(_drt_rotation_stack(stack[..., 0], thetas, interp),
+                          data[..., 0])
+
+
 def test_rotation_angle_validation():
     with pytest.raises(ValueError):
         drt_rotation(np.ones((4, 4)), angles=0)
@@ -305,12 +360,6 @@ def test_fbp_round_trip_smooth_phantom_interior():
     interior = np.hypot(ii - (n - 1) / 2, jj - (n - 1) / 2) <= 0.45 * n
     err = np.linalg.norm((rec - img)[interior]) / np.linalg.norm(img[interior])
     assert err <= 0.02
-
-
-def test_fbp_output_clamped_nonnegative():
-    img = smooth_phantom(32)
-    rec = fbp_invert(drt_rotation(img, angles=90, interp="linear"))
-    assert rec.min() >= 0.0
 
 
 def test_fbp_rejects_gdb_variant():

@@ -4,7 +4,8 @@ import pytest
 import poissonridge.ridgelet as ridgelet
 from poissonridge.metrics import mse
 from poissonridge.phantoms import PhantomSpec, make_phantom, sample_poisson
-from poissonridge.radon import TransformConfig, drt_gdb, drt_rotation
+from poissonridge.radon import (TransformConfig, drt_gdb, drt_rotation,
+                                fbp_invert)
 from poissonridge.ridgelet import (DenoiseConfig, denoise, denoise_full,
                                    ridgelet_forward, ridgelet_inverse)
 from poissonridge.shrinkage import ThresholdPolicy
@@ -133,6 +134,22 @@ def test_clamp_toggle_is_exactly_a_clip():
     clamped = denoise(counts, DenoiseConfig(clamp_negative=True, **base))
     assert np.array_equal(clamped, np.clip(raw, 0.0, None))
     assert clamped.min() >= 0.0
+
+
+def test_image_entry_clamp_off_keeps_negative_lobes():
+    # a point source's filtered backprojection has negative ramp lobes;
+    # with no shrinkage the pipeline returns exactly that FBP, clipped
+    # only when clamp_negative is set
+    counts = np.zeros((16, 16))
+    counts[8, 8] = 50.0
+    base = dict(transform=TransformConfig("rotation", angles=30, interp="area"),
+                policy=ThresholdPolicy(selector="fixed", fixed_scale=0.0))
+    raw = denoise(counts, DenoiseConfig(clamp_negative=False, **base))
+    clamped = denoise(counts, DenoiseConfig(clamp_negative=True, **base))
+    fbp = fbp_invert(drt_rotation(counts, angles=30, interp="area"))
+    assert raw.min() < -0.1
+    assert np.abs(raw - fbp).max() <= 1e-10 * np.abs(fbp).max()
+    assert np.array_equal(clamped, np.clip(raw, 0.0, None))
 
 
 def test_image_mode_keeps_radon_intermediates():
