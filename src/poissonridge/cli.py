@@ -21,7 +21,7 @@ from .fileio import read_csv, read_pgm, write_csv, write_pgm, write_sinogram
 from .harness import LineFit, run_distribution_experiment
 from .metrics import mse, psnr, ssim_global
 from .phantoms import make_phantom, sample_poisson
-from .radon import drt_gdb, drt_rotation
+from .radon import propagate_intensity
 from .ridgelet import DenoiseConfig, denoise_full
 from .seeding import derive_rng
 from .svgplot import emit_scatter_svg
@@ -102,13 +102,6 @@ def _cmd_simulate(args):
     return 0
 
 
-def _forward(counts, transform):
-    if transform.variant == "gdb":
-        return drt_gdb(counts)
-    return drt_rotation(counts, angles=transform.angles,
-                        interp=transform.interp)
-
-
 def _cmd_transform(args):
     cfg = _load(args)
     if args.input:
@@ -117,7 +110,7 @@ def _cmd_transform(args):
         intensity = make_phantom(cfg.phantom)
         counts = sample_poisson(intensity,
                                 rng=derive_rng(cfg.seed, "simulate"))
-    sino = _forward(counts, cfg.transform)
+    sino = propagate_intensity(counts, cfg.transform)
     spath = _out(cfg, "sinogram.csv")
     write_sinogram(spath, sino)
     print(f"wrote {spath}")

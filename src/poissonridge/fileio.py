@@ -172,6 +172,11 @@ def write_sinogram(path, sino):
 
 
 def read_sinogram(path):
+    """Read a sinogram CSV written by write_sinogram.
+
+    The offset range and gdb grid edge follow from the data's row count;
+    a header whose offset_min or gdb_size disagrees raises ValueError.
+    """
     data, meta = read_csv(path)
     if meta.get("kind") != "sinogram":
         raise ValueError("file is not a sinogram CSV")
@@ -182,12 +187,16 @@ def read_sinogram(path):
     if variant == "rotation":
         interp = meta["interp"]
         angles = np.array([float(t) for t in meta["angles"].split(";")])
-    return Sinogram(
+    sino = Sinogram(
         variant=variant,
         data=data,
         image_shape=image_shape,
-        offset_min=int(meta["offset_min"]),
         angles=angles,
         interp=interp,
-        gdb_size=int(meta["gdb_size"]),
     )
+    for key in ("offset_min", "gdb_size"):
+        if int(meta[key]) != getattr(sino, key):
+            raise ValueError(
+                f"header {key} = {meta[key]} does not match {data.shape[0]} "
+                f"offset rows (expected {getattr(sino, key)})")
+    return sino

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import chi2, poisson
 
 from .phantoms import make_phantom, validate_intensity
-from .radon import _drt_gdb_stack, _drt_rotation_stack, propagate_intensity
+from .radon import _check_column_wavelet, propagate_intensity
 from .seeding import derive_rng
 from .wavelet import dwt_forward, wavelet_atom
 
@@ -331,11 +331,7 @@ def run_distribution_experiment(spec, transform, samples, seed,
     """
     if samples < 100:
         raise ValueError("samples must be at least 100")
-    if wavelet is not None and wavelet.mode == "decimated":
-        raise ValueError(
-            "decimated wavelets cannot analyze Radon columns: the offset "
-            "axis always has odd length (gdb 2n-1, rotation 2r+1); use "
-            "mode = undecimated")
+    _check_column_wavelet(wavelet)
     integer_valued = transform.variant == "gdb" or transform.interp == "nearest"
     if gof and not integer_valued:
         raise ValueError(
@@ -343,8 +339,7 @@ def run_distribution_experiment(spec, transform, samples, seed,
             "(gdb variant or nearest interpolation)")
 
     intensity = validate_intensity(make_phantom(spec))
-    sino = propagate_intensity(intensity, transform)
-    rates = sino.data
+    rates = propagate_intensity(intensity, transform).data
     n_off, n_cols = rates.shape
 
     band_specs = []
@@ -373,11 +368,7 @@ def run_distribution_experiment(spec, transform, samples, seed,
         counts = [derive_rng(seed, "mc-sample", i).poisson(intensity)
                   .astype(np.int64)
                   for i in range(first, min(first + batch, samples))]
-        stack = np.stack(counts, axis=-1)
-        if transform.variant == "gdb":
-            data = _drt_gdb_stack(stack)
-        else:
-            data = _drt_rotation_stack(stack, sino.angles, transform.interp)
+        data = propagate_intensity(np.stack(counts, axis=-1), transform).data
         radon.add(data)
         if gof:
             # one unbuffered add for the batch; a bincount would zero and

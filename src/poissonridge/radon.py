@@ -66,8 +66,7 @@ class TransformConfig:
             raise ValueError(f"unknown transform variant {self.variant!r}")
         if self.interp not in _ROTATION_MODES:
             raise ValueError(f"unknown interpolation mode {self.interp!r}")
-        if np.isscalar(self.angles) and self.angles < 1:
-            raise ValueError("angle count must be positive")
+        _angle_array(self.angles)
 
 
 @dataclass
@@ -77,16 +76,25 @@ class Sinogram:
     data rows are offset indices; row k holds offset ``offset_min + k``.
     For the rotation variant columns are angle bins; for gdb they are
     (quadrant, slope) pairs flattened as ``(q - 1) * n + s`` with
-    q in 1..4 and s in 0..n-1 on the padded edge n.
+    q in 1..4 and s in 0..n-1 on the padded edge n. Trailing axes of
+    data beyond the first two, if any, index a stack of images.
     """
 
     variant: str
     data: np.ndarray
     image_shape: tuple
-    offset_min: int
     angles: np.ndarray = None
     interp: str = None
-    gdb_size: int = 0
+
+    @property
+    def offset_min(self):
+        """Offset of row 0: rows are odd in number and symmetric about 0."""
+        return -(self.data.shape[0] // 2)
+
+    @property
+    def gdb_size(self):
+        """Padded grid edge n of a gdb sinogram (2n - 1 rows); 0 otherwise."""
+        return (self.data.shape[0] + 1) // 2 if self.variant == "gdb" else 0
 
     @property
     def offsets(self):
@@ -195,26 +203,12 @@ def _drt_single_quadrant(a):
     return z[0, :, :2 * n - 1]    # [slope, h index, ...], h in [-(n-1), n-1]
 
 
-def _drt_gdb_stack(stack):
-    """gdb sinogram data of images stacked along trailing axes.
-
-    stack[row, col, ...] gives data[offset, column, ...]. The image is
-    zero-padded to the next power-of-two square n and the quadrants are
-    laid out as in drt_gdb, which is this function on one 2-D image.
-    Every batch entry is bit-identical to transforming it alone.
-    """
-    arr = np.asarray(stack, dtype=float)
-    n = 1
-    while n < max(arr.shape[:2]):
-        n *= 2
-    a = np.zeros((n, n) + arr.shape[2:])
-    a[:arr.shape[0], :arr.shape[1]] = arr
-    views = (a, np.swapaxes(a, 0, 1), a[::-1], np.swapaxes(a[:, ::-1], 0, 1))
-    data = np.empty((2 * n - 1, 4 * n) + arr.shape[2:])
-    for q, view in enumerate(views):
-        # quadrant block columns are slopes; rows are intercepts
-        data[:, q * n:(q + 1) * n] = np.swapaxes(_drt_single_quadrant(view), 0, 1)
-    return data
+def _image_stack(img):
+    arr = np.asarray(img, dtype=float)
+    if arr.ndim < 2:
+        raise ValueError(
+            f"image must be 2-D or a stack of 2-D images, got shape {arr.shape}")
+    return arr
 
 
 def drt_gdb(img):
@@ -225,19 +219,23 @@ def drt_gdb(img):
     index-flipped orientations of the line family:
     q1 sums X_{i,j}, q2 sums X_{j,i}, q3 sums X_{i,n-1-j},
     q4 sums X_{n-1-j,i}.
+
+    img[row, col, ...] may carry trailing axes, a stack of images; the
+    Sinogram's data is then data[offset, column, ...] and every stack
+    entry is bit-identical to transforming that image alone.
     """
-    arr = np.asarray(img, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {arr.shape}")
-    data = _drt_gdb_stack(arr)
-    n = data.shape[1] // 4
-    return Sinogram(
-        variant="gdb",
-        data=data,
-        image_shape=arr.shape,
-        offset_min=-(n - 1),
-        gdb_size=n,
-    )
+    arr = _image_stack(img)
+    n = 1
+    while n < max(arr.shape[:2]):
+        n *= 2
+    a = np.zeros((n, n) + arr.shape[2:])
+    a[:arr.shape[0], :arr.shape[1]] = arr
+    views = (a, np.swapaxes(a, 0, 1), a[::-1], np.swapaxes(a[:, ::-1], 0, 1))
+    data = np.empty((2 * n - 1, 4 * n) + arr.shape[2:])
+    for q, view in enumerate(views):
+        # quadrant block columns are slopes; rows are intercepts
+        data[:, q * n:(q + 1) * n] = np.swapaxes(_drt_single_quadrant(view), 0, 1)
+    return Sinogram(variant="gdb", data=data, image_shape=arr.shape[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +268,35 @@ def _trapezoid_cdf(u, a, b):
     return out
 
 
-def _drt_rotation_stack(stack, thetas, interp):
-    """Rotation sinogram data of images stacked along trailing axes.
+def drt_rotation(img, angles=180, interp="linear"):
+    """Radon transform on angle bins over [0, pi).
 
-    stack[row, col, ...] gives data[offset, angle, ...] for the angles
-    thetas (radians); drt_rotation is this function on one 2-D image.
-    Every angle deposits all taps of all batch entries with one
+    Parameters
+    ----------
+    img : ndarray
+        2-D image (any rectangle), or a stack of images along trailing
+        axes: img[row, col, ...].
+    angles : int or 1-D array
+        Number of uniform angle bins, or explicit angles in radians.
+    interp : str
+        ``nearest``, ``linear`` or ``area``; see TransformConfig.
+
+    Returns
+    -------
+    Sinogram
+        data[k, t, ...] is the mass at offset ``offset_min + k``, angle t.
+        Offsets cover the image diagonal; every pixel's weights sum to 1
+        at each angle, so each projection's total equals the image total.
+
+    Every angle deposits all taps of all stack entries with one
     np.bincount, entry k's bins offset by k * nr and, within an entry,
-    in the same (tap, pixel) order as a single image, so every batch
-    entry is bit-identical to transforming it alone.
+    in the same (tap, pixel) order as a single image, so every stack
+    entry is bit-identical to transforming that image alone.
     """
-    arr = np.asarray(stack, dtype=float)
+    if interp not in _ROTATION_MODES:
+        raise ValueError(f"unknown interpolation mode {interp!r}")
+    arr = _image_stack(img)
+    thetas = _angle_array(angles)
     h, w = arr.shape[:2]
     batch = arr.shape[2:]
     vals = arr.reshape(h * w, math.prod(batch)).T.copy()     # (K, pixels)
@@ -336,7 +352,13 @@ def _drt_rotation_stack(stack, thetas, interp):
         dep = np.bincount(bins.reshape(-1), weights.reshape(-1),
                           minlength=n_batch * nr)
         out[:, k] = dep.reshape(n_batch, nr).T
-    return out.reshape((nr, len(thetas)) + batch)
+    return Sinogram(
+        variant="rotation",
+        data=out.reshape((nr, len(thetas)) + batch),
+        image_shape=(h, w),
+        angles=thetas,
+        interp=interp,
+    )
 
 
 def _area_taps(frac, a, b, taps, u, clip):
@@ -384,55 +406,33 @@ def _area_taps(frac, a, b, taps, u, clip):
     np.subtract(f1, f0, out=f1)
 
 
-def drt_rotation(img, angles=180, interp="linear"):
-    """Radon transform on angle bins over [0, pi).
-
-    Parameters
-    ----------
-    img : ndarray
-        2-D image (any rectangle).
-    angles : int or 1-D array
-        Number of uniform angle bins, or explicit angles in radians.
-    interp : str
-        ``nearest``, ``linear`` or ``area``; see TransformConfig.
-
-    Returns
-    -------
-    Sinogram
-        data[k, t] is the mass at offset ``offset_min + k``, angle t.
-        Offsets cover the image diagonal; every pixel's weights sum to 1
-        at each angle, so each projection's total equals the image total.
-    """
-    if interp not in _ROTATION_MODES:
-        raise ValueError(f"unknown interpolation mode {interp!r}")
-    arr = np.asarray(img, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {arr.shape}")
-    thetas = _angle_array(angles)
-    data = _drt_rotation_stack(arr, thetas, interp)
-    return Sinogram(
-        variant="rotation",
-        data=data,
-        image_shape=arr.shape,
-        offset_min=-(data.shape[0] // 2),
-        angles=thetas,
-        interp=interp,
-    )
-
-
 def propagate_intensity(intensity, config):
     """Radon-domain rates implied by an image of Poisson rates.
 
     Both discretizations are linear with non-negative weights, so the
     transform of the rate image is exactly the rate (and, for the gdb
     variant, also the variance) of every transformed coefficient.
+
+    This is the one place a TransformConfig picks its projector:
+    drt_gdb or drt_rotation with the config's angles and interp. Like
+    them it takes one image or a stack along trailing axes. Negative
+    rates raise ValueError before anything is projected.
     """
     arr = np.asarray(intensity, dtype=float)
-    if arr.min() < 0:
+    if np.any(arr < 0):
         raise ValueError("intensity image has negative rates")
     if config.variant == "gdb":
         return drt_gdb(arr)
     return drt_rotation(arr, angles=config.angles, interp=config.interp)
+
+
+def _check_column_wavelet(wavelet):
+    """Reject a decimated wavelet: Radon columns have odd length."""
+    if wavelet is not None and wavelet.mode == "decimated":
+        raise ValueError(
+            "decimated wavelets cannot analyze Radon columns: the offset "
+            "axis always has odd length (gdb 2n-1, rotation 2r+1); use "
+            "mode = undecimated")
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +461,10 @@ def fbp_invert(sino):
     if sino.variant != "rotation":
         raise ValueError(
             f"fbp_invert is not implemented for variant {sino.variant!r}")
+    if sino.data.ndim != 2:
+        raise ValueError(
+            f"fbp_invert takes one sinogram, got data of shape "
+            f"{sino.data.shape}")
     nr, nth = sino.data.shape
     npad = int(2 ** np.ceil(np.log2(2 * nr)))
     ramp = _ramp_filter(npad)

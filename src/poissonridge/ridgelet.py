@@ -12,8 +12,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .phantoms import _nonnegative_grid
-from .radon import Sinogram, TransformConfig, drt_gdb, drt_rotation, \
-    fbp_invert, propagate_intensity
+# drt_rotation is not called here (propagate_intensity projects); the
+# name stays bound because bench/selftest.py checks through it that the
+# benchmark tracer also wraps names re-exported into other modules.
+from .radon import Sinogram, TransformConfig, _check_column_wavelet, \
+    drt_rotation, fbp_invert, propagate_intensity  # noqa: F401
 from .shrinkage import ThresholdPolicy, apply_shrinkage, estimate_band_noise, \
     select_pyramid_thresholds
 from .wavelet import WaveletPyramid, WaveletSpec, _check_length, \
@@ -35,17 +38,13 @@ class RidgeletCoeffs:
     """Per-projection wavelet pyramids, stored column-wise.
 
     pyramid bands have shape (band_length, n_projections): column c is
-    the pyramid of projection c. The sinogram geometry travels along so
-    the inverse can rebuild the exact grid it came from.
+    the pyramid of projection c. sinogram is the Radon transform the
+    pyramid was taken of; its geometry (variant, image shape, angles,
+    interp) is what the inverse rebuilds the grid from.
     """
 
     pyramid: WaveletPyramid
-    variant: str
-    image_shape: tuple
-    offset_min: int
-    angles: np.ndarray = None
-    interp: str = None
-    gdb_size: int = 0
+    sinogram: Sinogram
 
     def projection_pyramid(self, column):
         """View of one projection's pyramid (1-D bands)."""
@@ -94,45 +93,23 @@ class DenoiseResult:
     denoised_sinogram: np.ndarray
 
 
-def _forward_sinogram(image, config):
-    if config.variant == "gdb":
-        return drt_gdb(image)
-    return drt_rotation(image, angles=config.angles, interp=config.interp)
-
-
 def ridgelet_forward(image, config):
     """Radon transform then per-projection wavelets.
 
     Parameters
     ----------
     image : ndarray
-        2-D image (counts or rates).
+        2-D image of non-negative counts or rates; a stack of images or
+        negative values raise ValueError before anything is projected.
     config : DenoiseConfig
         Its transform and wavelet fields are used.
     """
-    sino = _forward_sinogram(np.asarray(image, dtype=float), config.transform)
-    pyr = dwt_forward(sino.data, config.wavelet)
-    return RidgeletCoeffs(
-        pyramid=pyr,
-        variant=sino.variant,
-        image_shape=sino.image_shape,
-        offset_min=sino.offset_min,
-        angles=sino.angles,
-        interp=sino.interp,
-        gdb_size=sino.gdb_size,
-    )
-
-
-def _rebuild_sinogram(coeffs, data):
-    return Sinogram(
-        variant=coeffs.variant,
-        data=data,
-        image_shape=coeffs.image_shape,
-        offset_min=coeffs.offset_min,
-        angles=coeffs.angles,
-        interp=coeffs.interp,
-        gdb_size=coeffs.gdb_size,
-    )
+    image = np.asarray(image, dtype=float)
+    if image.ndim != 2:
+        raise ValueError(f"image must be 2-D, got shape {image.shape}")
+    sino = propagate_intensity(image, config.transform)
+    return RidgeletCoeffs(pyramid=dwt_forward(sino.data, config.wavelet),
+                          sinogram=sino)
 
 
 def ridgelet_inverse(coeffs):
@@ -142,8 +119,8 @@ def ridgelet_inverse(coeffs):
     rotation-variant coefficients can be backprojected; gdb
     coefficients raise the fbp error.
     """
-    data = dwt_inverse(coeffs.pyramid)
-    return fbp_invert(_rebuild_sinogram(coeffs, data))
+    return fbp_invert(replace(coeffs.sinogram,
+                              data=dwt_inverse(coeffs.pyramid)))
 
 
 def _shrink_columns(counts, wavelet, policy, reference=None):
@@ -184,7 +161,10 @@ def denoise_full(noisy, config, reference=None):
         non-negative 2-D array, or if the two differ in shape; in
         sinogram mode also if the wavelet cannot analyze columns of
         noisy's height (an undecimated 2**levels above it, or a
-        decimated 2**levels that does not divide it).
+        decimated 2**levels that does not divide it); in image mode
+        also if the transform is not the rotation variant (only it can
+        be backprojected) or the wavelet is decimated (Radon columns
+        have odd length).
     """
     noisy = _nonnegative_grid(noisy, "noisy counts", "count")
     if reference is not None:
@@ -204,7 +184,13 @@ def denoise_full(noisy, config, reference=None):
         return DenoiseResult(image=est, thresholds=taus,
                              noisy_sinogram=noisy.copy(),
                              denoised_sinogram=est.copy())
-    sino = _forward_sinogram(noisy, config.transform)
+    if config.transform.variant != "rotation":
+        raise ValueError(
+            f"image entry needs the rotation variant, got "
+            f"{config.transform.variant!r}: only rotation sinograms can be "
+            f"backprojected; denoise gdb data with entry = sinogram")
+    _check_column_wavelet(config.wavelet)
+    sino = propagate_intensity(noisy, config.transform)
     ref_data = None
     if reference is not None:
         ref_data = propagate_intensity(reference, config.transform).data

@@ -214,6 +214,21 @@ def test_sinogram_round_trip_both_variants(tmp_path):
         read_sinogram(plain)
 
 
+@pytest.mark.parametrize("line, bad", [("offset_min = -7", "offset_min = -6"),
+                                       ("gdb_size = 8", "gdb_size = 7")])
+def test_read_sinogram_rejects_header_geometry_off_the_data(tmp_path, line,
+                                                            bad):
+    # the geometry follows from the row count; a header that says
+    # otherwise is corrupt, not a second source of truth
+    p = tmp_path / "gdb.csv"
+    write_sinogram(p, drt_gdb(np.ones((8, 8))))
+    text = p.read_text()
+    assert f"# {line}\n" in text
+    p.write_text(text.replace(f"# {line}\n", f"# {bad}\n"))
+    with pytest.raises(ValueError, match=bad.split()[0] + ".*15 offset rows"):
+        read_sinogram(p)
+
+
 # --- svg scatter ----------------------------------------------------------
 
 def test_scatter_svg_marks_every_point(tmp_path):
@@ -279,6 +294,17 @@ def test_cli_transform_reads_counts_file(tmp_path):
     assert main(["transform", "-c", cfg, "--input", str(src)]) == 0
     sino = read_sinogram(tmp_path / "out" / "sinogram.csv")
     assert np.array_equal(sino.data, drt_gdb(counts.astype(float)).data)
+
+
+def test_cli_transform_rejects_negative_input(tmp_path, capsys):
+    grid = np.full((8, 8), 2.0)
+    grid[3, 4] = -1.0
+    src = tmp_path / "counts.csv"
+    write_csv(src, grid)
+    cfg = write_cfg(tmp_path, f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["transform", "-c", cfg, "--input", str(src)]) == 1
+    assert capsys.readouterr().err.startswith("error: validation:")
+    assert not (tmp_path / "out" / "sinogram.csv").exists()
 
 
 def test_cli_verify_dist_artifacts_and_determinism(tmp_path, capsys):

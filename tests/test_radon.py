@@ -4,7 +4,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poissonridge.radon import (Sinogram, TransformConfig, _area_taps,
-                                _drt_gdb_stack, _drt_rotation_stack,
                                 _trapezoid_cdf, drt_gdb, drt_rotation, fbp_invert, gdb_lines,
                                 propagate_intensity)
 
@@ -118,17 +117,34 @@ def test_drt_gdb_stack_is_per_image_drt_gdb(shape):
     # bit-identical, including non-integer and padded inputs
     rng = np.random.default_rng(sum(shape))
     stack = rng.uniform(0.0, 3.0, size=shape + (5,))
-    data = _drt_gdb_stack(stack)
+    data = drt_gdb(stack).data
     n = drt_gdb(stack[..., 0]).gdb_size
     assert data.shape == (2 * n - 1, 4 * n, 5)
     for k in range(5):
         assert np.array_equal(data[..., k], drt_gdb(stack[..., k]).data)
-    assert np.array_equal(_drt_gdb_stack(stack[..., 2]), data[..., 2])
+    assert np.array_equal(drt_gdb(stack[..., 2]).data, data[..., 2])
 
 
 def test_drt_gdb_rejects_non_2d_images():
     with pytest.raises(ValueError, match="2-D"):
-        drt_gdb(np.ones((4, 4, 2)))
+        drt_gdb(np.ones(4))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 7), (13, 32), (64, 64)])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_derived_geometry_matches_the_stored_formulas(shape, stack):
+    # offset_min and gdb_size used to be stored; the values derived from
+    # the row count must equal what each projector used to store
+    img = np.ones(shape + stack)
+    n = 1
+    while n < max(shape):
+        n *= 2
+    gdb = drt_gdb(img)
+    assert (gdb.offset_min, gdb.gdb_size) == (-(n - 1), n)
+    radius = int(np.ceil(np.hypot((shape[0] - 1) / 2, (shape[1] - 1) / 2))) + 2
+    rot = drt_rotation(img, angles=5, interp="linear")
+    assert (rot.offset_min, rot.gdb_size) == (-radius, 0)
+    assert gdb.image_shape == rot.image_shape == shape
 
 
 def test_sinogram_offsets_and_gdb_column():
@@ -301,13 +317,14 @@ def test_drt_rotation_stack_is_per_image_drt_rotation(interp, shape, n_images):
     rng = np.random.default_rng(sum(shape) + n_images)
     stack = rng.uniform(0.0, 4.0, size=shape + (n_images,))
     thetas = np.array([0.0, 0.2, np.pi / 4, np.pi / 2, 2.5])
-    data = _drt_rotation_stack(stack, thetas, interp)
+    data = drt_rotation(stack, angles=thetas, interp=interp).data
     for k in range(n_images):
         sino = drt_rotation(stack[..., k], angles=thetas, interp=interp)
         assert data.shape == sino.data.shape + (n_images,)
         assert np.array_equal(data[..., k], sino.data)
-    assert np.array_equal(_drt_rotation_stack(stack[..., 0], thetas, interp),
-                          data[..., 0])
+    assert np.array_equal(
+        drt_rotation(stack[..., 0], angles=thetas, interp=interp).data,
+        data[..., 0])
 
 
 def test_rotation_angle_validation():
@@ -343,6 +360,14 @@ def test_transform_config_validation():
         TransformConfig(variant="rotation", angles=0)
 
 
+@pytest.mark.parametrize("angles", [-3, np.array([]), np.ones((2, 3)),
+                                    np.zeros((1, 1))])
+def test_transform_config_rejects_bad_angles(angles):
+    # rejected when the config is built, not when it is first projected
+    with pytest.raises(ValueError, match="angle"):
+        TransformConfig(variant="rotation", angles=angles)
+
+
 # --- filtered backprojection -----------------------------------------------
 
 def smooth_phantom(n, radius_frac=0.30, power=6):
@@ -365,4 +390,10 @@ def test_fbp_round_trip_smooth_phantom_interior():
 def test_fbp_rejects_gdb_variant():
     sino = drt_gdb(np.ones((8, 8)))
     with pytest.raises(ValueError):
+        fbp_invert(sino)
+
+
+def test_fbp_rejects_a_stack():
+    sino = drt_rotation(np.ones((8, 8, 2)), angles=6, interp="area")
+    with pytest.raises(ValueError, match=r"\(15, 6, 2\)"):
         fbp_invert(sino)

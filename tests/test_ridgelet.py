@@ -50,14 +50,24 @@ def test_forward_echoes_sinogram_geometry():
                                                   interp="nearest"))
     coeffs = ridgelet_forward(img, cfg)
     direct = drt_rotation(img, angles=12, interp="nearest")
-    assert coeffs.variant == "rotation"
-    assert coeffs.image_shape == (8, 8)
-    assert coeffs.offset_min == direct.offset_min
-    assert coeffs.interp == "nearest"
-    assert np.allclose(coeffs.angles, direct.angles)
+    assert coeffs.sinogram.variant == "rotation"
+    assert coeffs.sinogram.image_shape == (8, 8)
+    assert coeffs.sinogram.offset_min == direct.offset_min
+    assert coeffs.sinogram.interp == "nearest"
+    assert np.allclose(coeffs.sinogram.angles, direct.angles)
 
     gdb = ridgelet_forward(img, DenoiseConfig(transform=TransformConfig("gdb")))
-    assert gdb.variant == "gdb" and gdb.gdb_size == 8
+    assert gdb.sinogram.variant == "gdb" and gdb.sinogram.gdb_size == 8
+
+
+def test_forward_rejects_a_stack_before_projecting(monkeypatch):
+    # drt_* take stacks, but the coefficients hold one image's pyramid
+    def never(*args, **kwargs):
+        raise AssertionError("a stack was projected")
+
+    monkeypatch.setattr(ridgelet, "propagate_intensity", never)
+    with pytest.raises(ValueError, match="2-D"):
+        ridgelet_forward(np.ones((8, 8, 2)), DenoiseConfig())
 
 
 def test_projection_pyramid_views_columns():
@@ -206,12 +216,30 @@ def test_denoise_rejects_bad_counts_before_any_transform(monkeypatch, entry,
     def never(*args, **kwargs):
         raise AssertionError("a transform ran on invalid counts")
 
-    for name in ("drt_rotation", "drt_gdb", "dwt_forward", "fbp_invert"):
+    for name in ("propagate_intensity", "dwt_forward", "fbp_invert"):
         monkeypatch.setattr(ridgelet, name, never)
     counts = np.full((16, 16), 3.0)
     counts[5, 7] = bad
     with pytest.raises(ValueError, match=message):
         denoise_full(counts, DenoiseConfig(entry=entry))
+
+
+@pytest.mark.parametrize("config, message", [
+    (DenoiseConfig(transform=TransformConfig("gdb")), "rotation variant"),
+    (DenoiseConfig(wavelet=WaveletSpec("haar", 1, "decimated")),
+     "mode = undecimated"),
+])
+def test_image_entry_rejects_impossible_configs_before_any_transform(
+        monkeypatch, config, message):
+    # gdb sinograms cannot be backprojected and Radon columns have odd
+    # length; both used to fail only deep inside a transform
+    def never(*args, **kwargs):
+        raise AssertionError("a transform ran with an impossible config")
+
+    for name in ("propagate_intensity", "dwt_forward", "fbp_invert"):
+        monkeypatch.setattr(ridgelet, name, never)
+    with pytest.raises(ValueError, match=message):
+        denoise_full(np.full((16, 16), 3.0), config)
 
 
 def test_denoise_rejects_non_2d_counts():
