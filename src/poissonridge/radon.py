@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phantoms import _nonnegative_grid
+
 __all__ = [
     "DiscreteLine",
     "Sinogram",
@@ -253,18 +255,47 @@ def _angle_array(angles):
     return arr
 
 
-def _trapezoid_cdf(u, a, b):
-    """CDF of box(a) convolved with box(b); unit mass, a >= b > 0."""
-    c = (a + b) / 2.0
-    d = (a - b) / 2.0
-    u = np.clip(u, -c, c)
-    out = np.empty_like(u)
-    left = u < -d
-    right = u > d
-    mid = ~(left | right)
-    out[left] = (u[left] + c) ** 2 / (2 * a * b)
-    out[mid] = 0.5 + u[mid] / a
-    out[right] = 1.0 - (c - u[right]) ** 2 / (2 * a * b)
+def _angle_orbits(thetas, h, w, fold=True):
+    """Group angle bins into orbits that share one offset geometry.
+
+    Returns a list of (t, cols): member m of an orbit projects view m of
+    the image (see _oriented_views) at angle t into output column
+    cols[m]. On a centred grid r_{t+pi/2}(x, y) = r_t(y, -x),
+    r_{pi-t}(x, y) = r_t(-x, y) and r_{pi/2-t}(x, y) = r_t(y, x), so
+    when the grid is square and thetas is bit-equal to the uniform
+    pi * arange(n) / n with n % 4 == 0, base bin k in 0..n/4 serves
+    {k, n/2 + k, n - k, n/2 - k}; k = 0 and k = n/4 serve only their
+    first two. Every other input, and fold=False, gets one-angle orbits.
+    """
+    n = len(thetas)
+    uniform = n % 4 == 0 and np.array_equal(thetas, np.pi * np.arange(n) / n)
+    if not (fold and h == w and uniform):
+        return [(t, (k,)) for k, t in enumerate(thetas)]
+    q, half = n // 4, n // 2
+    orbits = [(thetas[0], (0, half))]
+    orbits += [(thetas[k], (k, half + k, n - k, half - k)) for k in range(1, q)]
+    orbits.append((thetas[q], (q, half + q)))
+    return orbits
+
+
+def _oriented_views(arr, n_views):
+    """The first n_views of arr, rot90(arr), arr[:, ::-1] and arr.T.
+
+    Only the first two axes are turned; trailing stack axes stay put.
+    """
+    views = (arr, np.rot90(arr), arr[:, ::-1], np.swapaxes(arr, 0, 1))
+    return views[:n_views]
+
+
+def _sum_unturned(images):
+    """Sum of images[v], each turned back from view v of _oriented_views.
+
+    Accumulates into images[0].
+    """
+    out = images[0]
+    for image, unturn in zip(images[1:], (lambda a: np.rot90(a, -1),
+                                          np.fliplr, np.transpose)):
+        out += unturn(image)
     return out
 
 
@@ -288,10 +319,16 @@ def drt_rotation(img, angles=180, interp="linear"):
         Offsets cover the image diagonal; every pixel's weights sum to 1
         at each angle, so each projection's total equals the image total.
 
-    Every angle deposits all taps of all stack entries with one
-    np.bincount, entry k's bins offset by k * nr and, within an entry,
-    in the same (tap, pixel) order as a single image, so every stack
-    entry is bit-identical to transforming that image alone.
+    Angles are grouped by _angle_orbits: on a square grid with a
+    uniform angle count divisible by 4, one pass of offsets, floor/frac
+    and taps serves up to four angles, each projecting a turned or
+    mirrored view of the image (``nearest`` is never folded, because
+    np.rint breaks exact half-integer ties differently on the folded
+    geometry). Each orbit deposits all taps of all views of all stack
+    entries with one np.bincount, entry e's bins offset by e * nr and,
+    within an entry, in the same (tap, pixel) order as a single image,
+    so every stack entry is bit-identical to transforming that image
+    alone.
     """
     if interp not in _ROTATION_MODES:
         raise ValueError(f"unknown interpolation mode {interp!r}")
@@ -299,15 +336,20 @@ def drt_rotation(img, angles=180, interp="linear"):
     thetas = _angle_array(angles)
     h, w = arr.shape[:2]
     batch = arr.shape[2:]
-    vals = arr.reshape(h * w, math.prod(batch)).T.copy()     # (K, pixels)
-    n_batch, npix = vals.shape
+    n_img = math.prod(batch)
+    npix = h * w
+    orbits = _angle_orbits(thetas, h, w, fold=interp != "nearest")
+    n_views = max(len(cols) for _, cols in orbits)
+    # vals[v * n_img + e] is stack entry e seen through view v
+    vals = np.concatenate([view.reshape(npix, n_img).T
+                           for view in _oriented_views(arr, n_views)])
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     radius = int(np.ceil(np.hypot(cy, cx))) + 2
     nr = 2 * radius + 1
     ys = np.arange(h) - cy
     xs = np.arange(w) - cx
     max_taps = {"nearest": 1, "linear": 2, "area": 4}[interp]
-    # per-angle buffers, reused: offsets r, floor(r) (or rint(r)) and
+    # per-orbit buffers, reused: offsets r, floor(r) (or rint(r)) and
     # r - floor(r), the first bin, tap weights, deposit bins and weights
     ysin, xcos = np.empty(h), np.empty(w)
     r = np.empty((h, w))
@@ -316,11 +358,11 @@ def drt_rotation(img, angles=180, interp="linear"):
     first = np.empty(npix, dtype=np.intp)
     taps = np.ones((max_taps, npix))             # nearest keeps tap 1.0
     u, clip = np.empty(npix), np.empty(npix)
-    bin_buf = np.empty(n_batch * max_taps * npix, dtype=np.intp)
-    weight_buf = np.empty(n_batch * max_taps * npix)
-    entry_offsets = (np.arange(1, n_batch) * nr)[:, None, None]
-    out = np.empty((nr, len(thetas), n_batch))
-    for k, t in enumerate(thetas):
+    bin_buf = np.empty(len(vals) * max_taps * npix, dtype=np.intp)
+    weight_buf = np.empty(len(vals) * max_taps * npix)
+    entry_offsets = (np.arange(1, len(vals)) * nr)[:, None, None]
+    out = np.empty((nr, len(thetas), n_img))
+    for t, cols in orbits:
         ct, st = np.cos(t), np.sin(t)
         np.add.outer(np.multiply(ys, st, out=ysin),
                      np.multiply(xs, ct, out=xcos), out=r)
@@ -341,17 +383,19 @@ def drt_rotation(img, angles=180, interp="linear"):
                 _area_taps(frac, a, b, taps, u, clip)
                 n_taps, lead = 4, -1
         # entry e, tap m, pixel p deposits into bin e*nr + first[p] + m
-        size = n_batch * n_taps * npix
-        bins = bin_buf[:size].reshape(n_batch, n_taps, npix)
-        weights = weight_buf[:size].reshape(n_batch, n_taps, npix)
+        n_entries = len(cols) * n_img
+        size = n_entries * n_taps * npix
+        bins = bin_buf[:size].reshape(n_entries, n_taps, npix)
+        weights = weight_buf[:size].reshape(n_entries, n_taps, npix)
         np.copyto(first, base, casting="unsafe")
         np.add(first, radius + lead, out=first)
         np.add(first, np.arange(n_taps)[:, None], out=bins[0])
-        np.add(bins[0], entry_offsets, out=bins[1:])
-        np.multiply(vals[:, None, :], taps[:n_taps], out=weights)
+        np.add(bins[0], entry_offsets[:n_entries - 1], out=bins[1:])
+        np.multiply(vals[:n_entries, None, :], taps[:n_taps], out=weights)
         dep = np.bincount(bins.reshape(-1), weights.reshape(-1),
-                          minlength=n_batch * nr)
-        out[:, k] = dep.reshape(n_batch, nr).T
+                          minlength=n_entries * nr)
+        out[:, list(cols)] = np.moveaxis(dep.reshape(len(cols), n_img, nr),
+                                         -1, 0)
     return Sinogram(
         variant="rotation",
         data=out.reshape((nr, len(thetas)) + batch),
@@ -365,9 +409,10 @@ def _area_taps(frac, a, b, taps, u, clip):
     """Area-footprint weights of the 4 bins floor(r) - 1 .. floor(r) + 2.
 
     The footprint of a unit pixel at angle t is box(a) convolved with
-    box(b), a = max(|cos t|, |sin t|) >= b = min(..) > 0; its CDF is
-    _trapezoid_cdf. The half-width c = (a + b) / 2 lies in (1/2, 1/sqrt 2],
-    so the CDF is 0 at the outer edge -3/2 - f and 1 at 5/2 - f
+    box(b), a = max(|cos t|, |sin t|) >= b = min(..) > 0: a trapezoid
+    whose CDF is parabolic, linear, then parabolic again. The half-width
+    c = (a + b) / 2 lies in (1/2, 1/sqrt 2], so the CDF is 0 at the
+    outer edge -3/2 - f and 1 at 5/2 - f
     (f = frac = r - floor(r)), and each inner edge u = [-1/2, 1/2, 3/2] - f
     falls on a known piece, with no mask: the first on the left parabola,
     the last on the right one, and the middle one is the linear piece at
@@ -415,12 +460,10 @@ def propagate_intensity(intensity, config):
 
     This is the one place a TransformConfig picks its projector:
     drt_gdb or drt_rotation with the config's angles and interp. Like
-    them it takes one image or a stack along trailing axes. Negative
-    rates raise ValueError before anything is projected.
+    them it takes one image or a stack along trailing axes. Negative,
+    NaN or infinite rates raise ValueError before anything is projected.
     """
-    arr = np.asarray(intensity, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("intensity image has negative rates")
+    arr = _nonnegative_grid(intensity, "intensity image", "rate", stack=True)
     if config.variant == "gdb":
         return drt_gdb(arr)
     return drt_rotation(arr, angles=config.angles, interp=config.interp)
@@ -457,6 +500,11 @@ def fbp_invert(sino):
     interpolation on the offset axis. The result is the raw
     reconstruction: the ramp filter's negative lobes are kept, and
     clipping them is left to the caller (denoise's clamp_negative).
+
+    Angles are grouped by _angle_orbits as in drt_rotation: one
+    floor/frac pass per orbit reads every member's filtered column and
+    its bin-to-bin slope at the same bins, into one image per view,
+    and the views are turned back and summed at the end.
     """
     if sino.variant != "rotation":
         raise ValueError(
@@ -466,21 +514,45 @@ def fbp_invert(sino):
             f"fbp_invert takes one sinogram, got data of shape "
             f"{sino.data.shape}")
     nr, nth = sino.data.shape
+    h, w = sino.image_shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    radius = -sino.offset_min
+    # the gather below reads rows floor(r) and floor(r) + 1 for every
+    # pixel's offset r, |r| <= hypot(cy, cx); both must exist
+    if np.hypot(cy, cx) + 1.0 > radius:
+        raise ValueError(
+            f"sinogram offsets reach only +-{radius}, too few for the "
+            f"diagonal of a {h}x{w} image")
     npad = int(2 ** np.ceil(np.log2(2 * nr)))
     ramp = _ramp_filter(npad)
     padded = np.zeros((npad, nth))
     padded[:nr] = sino.data
-    filtered = np.real(
-        np.fft.ifft(np.fft.fft(padded, axis=0) * ramp[:, None], axis=0))[:nr]
-    h, w = sino.image_shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    jj, ii = np.mgrid[0:h, 0:w]
-    xg = ii - cx
-    yg = jj - cy
-    roffs = sino.offsets.astype(float)
-    rec = np.zeros((h, w))
-    for k, t in enumerate(sino.angles):
-        r = xg * np.cos(t) + yg * np.sin(t)
-        rec += np.interp(r, roffs, filtered[:, k], left=0.0, right=0.0)
-    rec *= np.pi / (2 * len(sino.angles))
+    # filtered[k] is angle k's filtered column, slope[k] its differences
+    filtered = np.real(np.fft.ifft(np.fft.fft(padded, axis=0) * ramp[:, None],
+                                   axis=0))[:nr].T.copy()
+    slope = np.diff(filtered, axis=1)
+    orbits = _angle_orbits(sino.angles, h, w)
+    ys = np.arange(h) - cy
+    xs = np.arange(w) - cx
+    r = np.empty((h, w))
+    base, frac = np.empty((h, w)), np.empty((h, w))
+    idx = np.empty((h, w), dtype=np.intp)
+    gather, value = np.empty((h, w)), np.empty((h, w))
+    acc = np.zeros((max(len(cols) for _, cols in orbits), h, w))
+    for t, cols in orbits:
+        np.add.outer(ys * np.sin(t), xs * np.cos(t), out=r)
+        np.floor(r, out=base)
+        np.subtract(r, base, out=frac)
+        np.copyto(idx, base, casting="unsafe")
+        np.add(idx, radius, out=idx)
+        # np.interp's slope * (r - offset) + value; idx is in range, so
+        # mode="clip" only spares np.take its buffered bounds check
+        for view, col in zip(acc, cols):
+            np.take(slope[col], idx, out=gather, mode="clip")
+            np.multiply(gather, frac, out=gather)
+            np.take(filtered[col], idx, out=value, mode="clip")
+            np.add(gather, value, out=gather)
+            view += gather
+    rec = _sum_unturned(acc)
+    rec *= np.pi / (2 * nth)
     return rec

@@ -307,6 +307,16 @@ def test_cli_transform_rejects_negative_input(tmp_path, capsys):
     assert not (tmp_path / "out" / "sinogram.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_transform_rejects_non_finite_input(tmp_path, capsys, bad):
+    src = tmp_path / "counts.csv"
+    src.write_text(f"# shape = 2,2\n1,{bad}\n2,3\n")
+    cfg = write_cfg(tmp_path, f"output_dir = {tmp_path / 'out'}\n")
+    assert main(["transform", "-c", cfg, "--input", str(src)]) == 1
+    assert capsys.readouterr().err.startswith("error: validation:")
+    assert not (tmp_path / "out" / "sinogram.csv").exists()
+
+
 def test_cli_verify_dist_artifacts_and_determinism(tmp_path, capsys):
     body = """
 phantom.kind = inhomogeneous

@@ -3,9 +3,24 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from poissonridge.radon import (Sinogram, TransformConfig, _area_taps,
-                                _trapezoid_cdf, drt_gdb, drt_rotation, fbp_invert, gdb_lines,
-                                propagate_intensity)
+from poissonridge.radon import (Sinogram, TransformConfig, _angle_orbits,
+                                _area_taps, drt_gdb, drt_rotation, fbp_invert,
+                                gdb_lines, propagate_intensity)
+
+
+def _trapezoid_cdf(u, a, b):
+    """CDF of box(a) convolved with box(b); unit mass, a >= b > 0."""
+    c = (a + b) / 2.0
+    d = (a - b) / 2.0
+    u = np.clip(u, -c, c)
+    out = np.empty_like(u)
+    left = u < -d
+    right = u > d
+    mid = ~(left | right)
+    out[left] = (u[left] + c) ** 2 / (2 * a * b)
+    out[mid] = 0.5 + u[mid] / a
+    out[right] = 1.0 - (c - u[right]) ** 2 / (2 * a * b)
+    return out
 
 
 def line_offsets(n, s):
@@ -327,6 +342,127 @@ def test_drt_rotation_stack_is_per_image_drt_rotation(interp, shape, n_images):
         data[..., 0])
 
 
+# --- dihedral angle folding ------------------------------------------------
+
+# the angle view m of an orbit projects at, given the orbit's base angle t
+VIEW_ANGLES = (lambda t: t, lambda t: t + np.pi / 2, lambda t: np.pi - t,
+               lambda t: np.pi / 2 - t)
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 180])
+@pytest.mark.parametrize("size", [8, 9])
+def test_angle_orbits_cover_every_column_once(n, size):
+    thetas = np.pi * np.arange(n) / n
+    orbits = _angle_orbits(thetas, size, size)
+    cols = [c for _, members in orbits for c in members]
+    assert sorted(cols) == list(range(n))
+    assert len(orbits) == n // 4 + 1
+    assert sorted(len(members) for _, members in orbits) == \
+        [2, 2] + [4] * (n // 4 - 1)
+    for t, members in orbits:
+        for view, col in enumerate(members):
+            assert VIEW_ANGLES[view](t) == pytest.approx(thetas[col], abs=1e-12)
+
+
+@pytest.mark.parametrize("thetas, shape", [
+    (np.pi * np.arange(7) / 7, (8, 8)),
+    (np.pi * np.arange(90) / 90, (8, 8)),
+    (np.array([0.0, np.pi / 4, np.pi / 2, 2.0]), (8, 8)),
+    (np.array([0.0, 0.3, 2.0, 2.5]), (9, 9)),
+    (np.pi * np.arange(8) / 8 + 1e-15, (8, 8)),
+    (np.pi * np.arange(8) / 8, (8, 9)),
+    (np.pi * np.arange(180) / 180, (9, 8)),
+])
+def test_angle_orbits_fall_back_to_one_angle(thetas, shape):
+    # other counts, non-uniform or perturbed arrays and rectangles run
+    # the same loop with one angle per orbit, in column order
+    orbits = _angle_orbits(thetas, *shape)
+    assert [members for _, members in orbits] == [(k,) for k in range(thetas.size)]
+    assert [t for t, _ in orbits] == list(thetas)
+
+
+def test_angle_orbits_fold_off():
+    thetas = np.pi * np.arange(8) / 8
+    orbits = _angle_orbits(thetas, 8, 8, fold=False)
+    assert [members for _, members in orbits] == [(k,) for k in range(8)]
+
+
+@pytest.mark.parametrize("interp", ["linear", "area"])
+@pytest.mark.parametrize("size", [8, 9, 64])
+@pytest.mark.parametrize("n", [4, 8, 180])
+def test_folded_rotation_matches_per_tap_reference(interp, size, n):
+    img = np.random.default_rng(size + n).uniform(0, 5, size=(size, size))
+    sino = drt_rotation(img, angles=n, interp=interp)
+    expected = per_tap_rotation(img, sino.angles, interp)
+    assert np.abs(sino.data - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert sino.data.min() >= 0.0
+
+
+@pytest.mark.parametrize("interp", ["nearest", "linear", "area"])
+@pytest.mark.parametrize("size, n", [(9, 8), (16, 180)])
+def test_folded_stack_is_per_image_drt_rotation(interp, size, n):
+    stack = np.random.default_rng(size).uniform(0.0, 4.0, size=(size, size, 3))
+    data = drt_rotation(stack, angles=n, interp=interp).data
+    for k in range(3):
+        alone = drt_rotation(stack[..., k], angles=n, interp=interp).data
+        assert np.array_equal(data[..., k], alone)
+
+
+@pytest.mark.parametrize("size", [9, 64])
+def test_nearest_is_not_folded(size):
+    # np.rint breaks exact half-integer ties differently on a folded
+    # geometry, which would move whole counts between bins (at 90 degrees
+    # on even grids, 60 and 120 on odd ones); nearest keeps the per-angle
+    # projection bit for bit
+    img = np.random.default_rng(size).poisson(3.0, size=(size, size)).astype(float)
+    sino = drt_rotation(img, angles=180, interp="nearest")
+    for k, t in enumerate(sino.angles):
+        alone = drt_rotation(img, angles=np.array([t]), interp="nearest")
+        assert np.array_equal(sino.data[:, k], alone.data[:, 0])
+
+
+def per_angle_fbp(sino):
+    """Reference backprojection: np.interp of each filtered column."""
+    nr, nth = sino.data.shape
+    npad = int(2 ** np.ceil(np.log2(2 * nr)))
+    f = np.zeros(npad)
+    f[0] = 0.25
+    odd = np.arange(1, npad // 2, 2)
+    f[odd] = f[-odd] = -1.0 / (np.pi * odd) ** 2
+    ramp = 2.0 * np.real(np.fft.fft(f))
+    padded = np.zeros((npad, nth))
+    padded[:nr] = sino.data
+    filtered = np.real(
+        np.fft.ifft(np.fft.fft(padded, axis=0) * ramp[:, None], axis=0))[:nr]
+    h, w = sino.image_shape
+    jj, ii = np.mgrid[0:h, 0:w]
+    xg, yg = ii - (w - 1) / 2.0, jj - (h - 1) / 2.0
+    rec = np.zeros((h, w))
+    for k, t in enumerate(sino.angles):
+        r = xg * np.cos(t) + yg * np.sin(t)
+        rec += np.interp(r, sino.offsets.astype(float), filtered[:, k],
+                         left=0.0, right=0.0)
+    return rec * np.pi / (2 * nth)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 9), (64, 64), (37, 53), (8, 9)])
+@pytest.mark.parametrize("angles", [
+    4, 8, 180, 7, np.array([0.0, 0.3, np.pi / 2, 2.0, 3.0])])
+def test_fbp_matches_per_angle_interp(shape, angles):
+    img = np.random.default_rng(sum(shape)).uniform(0, 5, size=shape)
+    sino = drt_rotation(img, angles=angles, interp="area")
+    rec, expected = fbp_invert(sino), per_angle_fbp(sino)
+    assert rec.shape == shape
+    assert np.abs(rec - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_fbp_rejects_offsets_short_of_the_diagonal():
+    sino = drt_rotation(np.ones((8, 8)), angles=8, interp="area")
+    sino.image_shape = (32, 32)
+    with pytest.raises(ValueError, match="diagonal"):
+        fbp_invert(sino)
+
+
 def test_rotation_angle_validation():
     with pytest.raises(ValueError):
         drt_rotation(np.ones((4, 4)), angles=0)
@@ -349,6 +485,18 @@ def test_propagate_intensity_matches_transform_of_rates():
             direct = drt_rotation(img, angles=12, interp="area")
         assert np.allclose(sino.data, direct.data)
         assert sino.variant == cfg.variant
+
+
+@pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"),
+                                          (np.inf, "non-finite"),
+                                          (-1.0, "negative rates")])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_propagate_intensity_rejects_bad_rates(bad, message, stack):
+    img = np.ones((6, 6) + stack)
+    img[2, 3] = bad
+    for cfg in (TransformConfig(variant="gdb"), TransformConfig(angles=8)):
+        with pytest.raises(ValueError, match=message):
+            propagate_intensity(img, cfg)
 
 
 def test_transform_config_validation():

@@ -273,3 +273,32 @@ def test_sinogram_entry_rejects_over_deep_undecimated_levels(monkeypatch):
                         policy=ThresholdPolicy(selector="sure"))
     with pytest.raises(ValueError, match="at least 256; got 16"):
         denoise_full(np.full((16, 8), 3.0), cfg)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_forward_rejects_non_finite_rates(bad):
+    img = np.full((8, 8), 2.0)
+    img[4, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ridgelet_forward(img, DenoiseConfig())
+
+
+def test_image_entry_projects_noisy_and_reference_once(monkeypatch):
+    # the reference rides along as a second stack entry: one projection,
+    # and the noisy sinogram is bit-identical to projecting it alone
+    calls = []
+
+    def counting(image, config):
+        calls.append(np.shape(image))
+        return propagate(image, config)
+
+    propagate = ridgelet.propagate_intensity
+    monkeypatch.setattr(ridgelet, "propagate_intensity", counting)
+    lam = smooth_phantom(16) * 5.0
+    counts = sample_poisson(lam, seed=3).astype(float)
+    cfg = DenoiseConfig(transform=TransformConfig(angles=12, interp="area"),
+                        policy=ThresholdPolicy(selector="oracle-erm"))
+    res = denoise_full(counts, cfg, reference=lam)
+    assert calls == [(16, 16, 2)]
+    alone = drt_rotation(counts, angles=12, interp="area").data
+    assert np.array_equal(res.noisy_sinogram, alone)
