@@ -19,8 +19,11 @@ from .radon import Sinogram, TransformConfig, _check_column_wavelet, \
     drt_rotation, fbp_invert, propagate_intensity  # noqa: F401
 from .shrinkage import ThresholdPolicy, apply_shrinkage, estimate_band_noise, \
     select_pyramid_thresholds
-from .wavelet import WaveletPyramid, WaveletSpec, _check_length, \
-    approximation_chain, dwt_forward, dwt_inverse
+# approximation_chain is not called here (_analysis_cascade keeps the
+# approximations of the one cascade); the name stays bound for the
+# tests that patch it to prove no transform runs on rejected input.
+from .wavelet import WaveletPyramid, WaveletSpec, _analysis_cascade, \
+    _check_length, approximation_chain, dwt_forward, dwt_inverse  # noqa: F401
 
 __all__ = [
     "RidgeletCoeffs",
@@ -126,8 +129,7 @@ def ridgelet_inverse(coeffs):
 def _shrink_columns(counts, wavelet, policy, reference=None):
     """Shrink detail bands of column signals; returns (estimate, taus)."""
     counts = np.asarray(counts, dtype=float)
-    pyr = dwt_forward(counts, wavelet)
-    approxes = approximation_chain(counts, wavelet)
+    pyr, approxes = _analysis_cascade(counts, wavelet)
     noise = [estimate_band_noise(d, a, wavelet, level)
              for level, (d, a) in enumerate(zip(pyr.details, approxes), start=1)]
     ref_pyr = None

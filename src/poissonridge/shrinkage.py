@@ -3,8 +3,11 @@
 Thresholds are chosen per band on a grid of multiples of the band noise
 scale, either by oracle empirical risk (when the clean coefficients are
 available) or by a Gaussian-approximation unbiased risk estimate that
-only needs the per-coefficient variance predictions. Approximation
-coefficients are never shrunk.
+only needs the per-coefficient variance predictions. Both selectors
+score the whole grid in O(n) per band, with no sort: each coefficient
+magnitude is placed in its grid bucket arithmetically and the risk
+terms are summed per bucket. Approximation coefficients are never
+shrunk.
 """
 
 from dataclasses import dataclass
@@ -119,47 +122,118 @@ def select_threshold(band, noise, policy, reference=None):
     the Gaussian-approximation unbiased risk estimate with
     per-coefficient variances v_i. Ties break toward the smaller tau.
 
-    sure needs no risk matrix: with |w| sorted ascending, the prefix sums
-    cv of v and cw of w^2 (each led by 0), and k = #{|w_i| <= tau},
-    risk(tau) = sum v - 2 cv[k] + cw[k] + tau^2 (n - k), so the whole
-    grid costs one O(n log n) sort (the SureShrink form of Donoho and
-    Johnstone, JASA 1995). oracle-erm evaluates every grid point directly.
+    Neither selector sorts or builds a grid-by-band matrix. Each |w_i|
+    falls in the bucket b_i = #{j : grid_j < |w_i|}, so |w_i| <= grid_j
+    exactly when b_i <= j, and per-bucket sums (np.bincount) cumulated
+    over the grid give every grid risk in O(n): for sure,
+    risk_j = sum v - 2 V_j + W_j + grid_j^2 (n - K_j) with K_j, V_j and
+    W_j the count, sum of v and sum of w^2 over buckets 0..j (the
+    SureShrink form of Donoho and Johnstone, JASA 1995). oracle-erm
+    takes its bucket risks only as a shortlist: the grid points within
+    a rounding-level slack of their minimum are re-evaluated with the
+    direct sum of (soft(w, tau) - reference)^2, which picks the tau.
+
+    Raises ValueError if the band, the variances (sure) or the
+    reference (oracle-erm) hold NaN or +-inf, or if the latter two do
+    not match the band's size.
     """
-    w = np.asarray(band, dtype=float).ravel()
+    w = _finite_values(band, "band")
     if w.size == 0:
         return 0.0
     if policy.selector == "fixed":
         return float(policy.fixed_scale * noise.scale)
+    # one value per coefficient: the clean reference or the variance
+    if policy.selector == "oracle-erm":
+        if reference is None:
+            raise ValueError("oracle-erm selection requires reference coefficients")
+        paired = _finite_values(reference, "reference", w.shape)
+    else:
+        paired = _finite_values(noise.variances, "variance", w.shape)
     grid = threshold_grid(policy, noise.scale)
     if grid[-1] == 0.0:
         return 0.0
     if policy.selector == "oracle-erm":
-        if reference is None:
-            raise ValueError("oracle-erm selection requires reference coefficients")
-        ref = np.asarray(reference, dtype=float).ravel()
-        if ref.shape != w.shape:
-            raise ValueError(
-                f"reference shape {ref.shape} does not match band {w.shape}")
-        shrunk = np.sign(w)[None, :] * np.maximum(
-            np.abs(w)[None, :] - grid[:, None], 0.0)
-        risks = ((shrunk - ref[None, :]) ** 2).sum(axis=1)
-        return float(grid[int(np.argmin(risks))])
-    v = np.asarray(noise.variances, dtype=float).ravel()
-    if v.shape != w.shape:
-        raise ValueError(
-            f"variance shape {v.shape} does not match band {w.shape}")
-    risks = _sure_risks(w, v, grid)
+        return float(_oracle_threshold(w, paired, grid))
+    risks = _sure_risks(w, paired, grid)
     return float(grid[int(np.argmin(risks))])
 
 
+def _finite_values(values, name, shape=None):
+    arr = np.asarray(values, dtype=float).ravel()
+    if shape is not None and arr.shape != shape:
+        raise ValueError(
+            f"{name} shape {arr.shape} does not match band {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} holds non-finite values (NaN or inf)")
+    return arr
+
+
+def _grid_buckets(magnitude, grid):
+    """b_i = #{j : grid_j < magnitude_i}, as searchsorted(side="left").
+
+    grid is linspace(0, top, P) with top > 0. ceil(m / step) lands on the
+    count or one step either side of it (the quotient and the grid
+    points both round), and one comparison with grid itself in each
+    direction makes it exact.
+    """
+    points = grid.size
+    b = np.ceil(magnitude / (grid[-1] / (points - 1)))
+    np.clip(b, 0, points, out=b)
+    b = b.astype(np.intp)
+    # fenced[b] is grid[b - 1], fenced[b + 1] is grid[b]
+    fenced = np.concatenate(([-np.inf], grid, [np.inf]))
+    b -= fenced[b] >= magnitude
+    b += fenced[b + 1] < magnitude
+    return b
+
+
+def _bucket_prefix(b, weights, points):
+    """Sums of weights over buckets 0..j for every grid index j."""
+    return np.cumsum(np.bincount(b, weights, minlength=points + 1))[:points]
+
+
 def _sure_risks(w, v, grid):
-    """SURE at every grid threshold, from prefix sums over sorted |w|."""
-    magnitude = np.abs(w)
-    order = np.argsort(magnitude, kind="stable")
-    cv = np.concatenate(([0.0], np.cumsum(v[order])))
-    cw = np.concatenate(([0.0], np.cumsum(w[order] ** 2)))
-    k = np.searchsorted(magnitude[order], grid, side="right")
-    return cv[-1] - 2.0 * cv[k] + cw[k] + grid ** 2 * (w.size - k)
+    """SURE at every grid threshold, from per-bucket sums of 1, v and w^2."""
+    b = _grid_buckets(np.abs(w), grid)
+    k = _bucket_prefix(b, None, grid.size)
+    cv = _bucket_prefix(b, v, grid.size)
+    cw = _bucket_prefix(b, w * w, grid.size)
+    return v.sum() - 2.0 * cv + cw + grid ** 2 * (w.size - k)
+
+
+# oracle-erm shortlist slack, relative to the size of the risk terms; the
+# rounding of the bucket sums is orders of magnitude below it
+_ORACLE_SLACK = 1e-9
+
+
+def _oracle_threshold(w, ref, grid):
+    """Grid threshold of least squared error against ref, ties smaller.
+
+    Coefficients with |w| <= tau contribute ref^2; the others
+    (w - ref - tau sign(w))^2. Per-bucket sums of ref^2, (w - ref)^2 and
+    sign(w)(w - ref) give every grid risk in O(n); the shortlist of grid
+    points near their minimum is then scored by the direct expression.
+    """
+    b = _grid_buckets(np.abs(w), grid)
+    diff = w - ref
+    points = grid.size
+
+    def tail(weights):
+        # sums over buckets j+1..P, taken from the top so that an empty
+        # tail sums to exactly 0
+        binned = np.bincount(b, weights, minlength=points + 1)
+        return np.cumsum(binned[::-1])[::-1][1:]
+
+    risks = (_bucket_prefix(b, ref * ref, points) + tail(diff * diff)
+             - 2.0 * grid * tail(np.sign(w) * diff) + grid ** 2 * tail(None))
+    top = grid[-1]
+    slack = _ORACLE_SLACK * (ref @ ref + diff @ diff + top ** 2 * w.size
+                             + 2.0 * top * np.abs(diff).sum())
+    shortlist = grid[risks <= risks.min() + slack]
+    shrunk = np.sign(w)[None, :] * np.maximum(
+        np.abs(w)[None, :] - shortlist[:, None], 0.0)
+    exact = ((shrunk - ref[None, :]) ** 2).sum(axis=1)
+    return shortlist[int(np.argmin(exact))]
 
 
 def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):

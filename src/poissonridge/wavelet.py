@@ -113,18 +113,34 @@ def _dec_synthesis(a, d, lo, hi):
     return x
 
 
+# The undecimated kernels add each tap as two slice adds, the periodic
+# shift s split at the wrap, so no shifted copy of the signal is made.
+# Every output sample still takes its terms in tap order, starting from
+# zero, so the sums are bit-identical to adding np.roll copies.
+
 def _undec_analysis(x, taps, hole):
+    """out[i] = sum_m taps[m] * x[(i + m * hole) % n]."""
+    n = x.shape[0]
     out = np.zeros_like(x)
     for m, c in enumerate(taps):
-        out += c * np.roll(x, -m * hole, axis=0)
+        s = (m * hole) % n
+        out[:n - s] += c * x[s:]
+        out[n - s:] += c * x[:s]
     return out
 
 
 def _undec_adjoint(a, d, lo, hi, hole):
+    """x[i] = sum_m lo[m] * a[(i - s_m) % n] + hi[m] * d[(i - s_m) % n].
+
+    s_m = m * hole; the transpose of _undec_analysis on the pair (a, d).
+    """
+    n = a.shape[0]
     x = np.zeros_like(a)
     for m in range(len(lo)):
-        x += lo[m] * np.roll(a, m * hole, axis=0)
-        x += hi[m] * np.roll(d, m * hole, axis=0)
+        s = (m * hole) % n
+        for c, y in ((lo[m], a), (hi[m], d)):
+            x[s:] += c * y[:n - s]
+            x[:s] += c * y[n - s:]
     return x
 
 
@@ -159,6 +175,31 @@ def _check_length(n, spec):
         _check_undecimated_length(n, spec)
 
 
+def _analysis_cascade(x, spec):
+    """One lowpass cascade: (pyramid, approximations finest first).
+
+    The approximation after each level feeds the next level and is kept,
+    so callers that need both the pyramid and the co-located
+    approximations run every analysis pass once.
+    """
+    arr = _as_signal(x)
+    lo, hi = _filter_pair(spec.filter)
+    n = arr.shape[0]
+    _check_length(n, spec)
+    details, approxes = [], []
+    a = arr
+    for level in range(1, spec.levels + 1):
+        if spec.mode == "decimated":
+            details.append(_dec_analysis(a, hi))
+            a = _dec_analysis(a, lo)
+        else:
+            hole = 2 ** (level - 1)
+            details.append(_undec_analysis(a, hi, hole))
+            a = _undec_analysis(a, lo, hole)
+        approxes.append(a)
+    return WaveletPyramid(a, details, spec, n), approxes
+
+
 def dwt_forward(x, spec):
     """Run the multi-level analysis transform.
 
@@ -172,24 +213,7 @@ def dwt_forward(x, spec):
     -------
     WaveletPyramid
     """
-    arr = _as_signal(x)
-    lo, hi = _filter_pair(spec.filter)
-    n = arr.shape[0]
-    _check_length(n, spec)
-    if spec.mode == "decimated":
-        details = []
-        a = arr
-        for _ in range(spec.levels):
-            details.append(_dec_analysis(a, hi))
-            a = _dec_analysis(a, lo)
-        return WaveletPyramid(a, details, spec, n)
-    details = []
-    a = arr
-    for level in range(1, spec.levels + 1):
-        hole = 2 ** (level - 1)
-        details.append(_undec_analysis(a, hi, hole))
-        a = _undec_analysis(a, lo, hole)
-    return WaveletPyramid(a, details, spec, n)
+    return _analysis_cascade(x, spec)[0]
 
 
 def dwt_inverse(pyr):
@@ -222,18 +246,7 @@ def approximation_chain(x, spec):
     Returns a list [a_1, ..., a_levels]; a_level is co-located with the
     detail band of the same level (identical length in both modes).
     """
-    arr = _as_signal(x)
-    lo, _ = _filter_pair(spec.filter)
-    _check_length(arr.shape[0], spec)
-    out = []
-    a = arr
-    for level in range(1, spec.levels + 1):
-        if spec.mode == "decimated":
-            a = _dec_analysis(a, lo)
-        else:
-            a = _undec_analysis(a, lo, 2 ** (level - 1))
-        out.append(a)
-    return out
+    return _analysis_cascade(x, spec)[1]
 
 
 def lowpass_gain(spec, level):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import poissonridge.ridgelet as ridgelet
+import poissonridge.wavelet as wavelet
 from poissonridge.metrics import mse
 from poissonridge.phantoms import PhantomSpec, make_phantom, sample_poisson
 from poissonridge.radon import (TransformConfig, drt_gdb, drt_rotation,
@@ -216,7 +217,8 @@ def test_denoise_rejects_bad_counts_before_any_transform(monkeypatch, entry,
     def never(*args, **kwargs):
         raise AssertionError("a transform ran on invalid counts")
 
-    for name in ("propagate_intensity", "dwt_forward", "fbp_invert"):
+    for name in ("propagate_intensity", "dwt_forward", "fbp_invert",
+                 "_analysis_cascade"):
         monkeypatch.setattr(ridgelet, name, never)
     counts = np.full((16, 16), 3.0)
     counts[5, 7] = bad
@@ -236,7 +238,8 @@ def test_image_entry_rejects_impossible_configs_before_any_transform(
     def never(*args, **kwargs):
         raise AssertionError("a transform ran with an impossible config")
 
-    for name in ("propagate_intensity", "dwt_forward", "fbp_invert"):
+    for name in ("propagate_intensity", "dwt_forward", "fbp_invert",
+                 "_analysis_cascade"):
         monkeypatch.setattr(ridgelet, name, never)
     with pytest.raises(ValueError, match=message):
         denoise_full(np.full((16, 16), 3.0), config)
@@ -266,13 +269,35 @@ def test_sinogram_entry_rejects_over_deep_undecimated_levels(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a transform ran with an impossible depth")
 
-    for name in ("dwt_forward", "approximation_chain", "dwt_inverse"):
+    for name in ("dwt_forward", "approximation_chain", "dwt_inverse",
+                 "_analysis_cascade"):
         monkeypatch.setattr(ridgelet, name, never)
     cfg = DenoiseConfig(entry="sinogram",
                         wavelet=WaveletSpec("haar", 8, "undecimated"),
                         policy=ThresholdPolicy(selector="sure"))
     with pytest.raises(ValueError, match="at least 256; got 16"):
         denoise_full(np.full((16, 8), 3.0), cfg)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_sinogram_entry_runs_one_analysis_cascade(monkeypatch, levels):
+    # one highpass and one lowpass pass per level: the noise model reads
+    # the approximations of the same cascade that made the pyramid
+    holes = []
+    kernel = wavelet._undec_analysis
+
+    def counting(x, taps, hole):
+        holes.append(hole)
+        return kernel(x, taps, hole)
+
+    monkeypatch.setattr(wavelet, "_undec_analysis", counting)
+    counts = sample_poisson(np.full((16, 8), 4.0), seed=5).astype(float)
+    cfg = DenoiseConfig(entry="sinogram",
+                        wavelet=WaveletSpec("haar", levels, "undecimated"),
+                        policy=ThresholdPolicy(selector="sure"))
+    res = denoise_full(counts, cfg)
+    assert len(res.thresholds) == levels
+    assert sorted(holes) == sorted(2 * [2 ** j for j in range(levels)])
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

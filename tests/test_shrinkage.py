@@ -4,7 +4,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from poissonridge.shrinkage import (BandNoiseModel, ThresholdPolicy,
-                                    _sure_risks, apply_shrinkage,
+                                    _grid_buckets, _sure_risks,
+                                    apply_shrinkage,
                                     estimate_band_noise,
                                     select_pyramid_thresholds,
                                     select_threshold, soft_threshold,
@@ -197,6 +198,143 @@ def test_sure_prefix_sums_match_dense_risks(pairs, scale):
         # only a rounding-level near-tie with the dense minimum may differ
         chosen = int(np.flatnonzero(grid == tau)[0])
         assert dense[chosen] - dense.min() <= tol[chosen]
+
+
+def sorted_prefix_sure_risks(w, v, grid):
+    # the O(n log n) form: one sort of |w| and two prefix sums
+    magnitude = np.abs(w)
+    order = np.argsort(magnitude, kind="stable")
+    cv = np.concatenate(([0.0], np.cumsum(v[order])))
+    cw = np.concatenate(([0.0], np.cumsum(w[order] ** 2)))
+    k = np.searchsorted(magnitude[order], grid, side="right")
+    return cv[-1] - 2.0 * cv[k] + cw[k] + grid ** 2 * (w.size - k)
+
+
+def grid_edge_band(grid, seed):
+    # every grid point, one ulp either side of it, zeros, and values past
+    # the top of the grid, with random signs and a random background
+    rng = np.random.default_rng(seed)
+    points = grid[1:]
+    edges = np.concatenate([points, np.nextafter(points, 0.0),
+                            np.nextafter(points, np.inf), np.zeros(3),
+                            grid[-1] * rng.uniform(1.0, 3.0, size=5)])
+    background = grid[-1] * rng.uniform(0.0, 1.1, size=200)
+    magnitude = np.concatenate([edges, background])
+    return magnitude * rng.choice([-1.0, 1.0], size=magnitude.size)
+
+
+@pytest.mark.parametrize("scale", [1 / 3, 0.7, np.sqrt(255.0), 1e-3])
+@pytest.mark.parametrize("points", [51, 7])
+def test_grid_buckets_equal_searchsorted_at_grid_edges(scale, points):
+    grid = threshold_grid(ThresholdPolicy(grid_points=points), scale)
+    magnitude = np.abs(grid_edge_band(grid, points))
+    assert np.array_equal(_grid_buckets(magnitude, grid),
+                          np.searchsorted(grid, magnitude, side="left"))
+
+
+@pytest.mark.parametrize("scale", [1 / 3, 0.7, np.sqrt(255.0), 1e-3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bucketed_sure_matches_sorted_prefix_sums(scale, seed):
+    policy = ThresholdPolicy(selector="sure")
+    grid = threshold_grid(policy, scale)
+    w = grid_edge_band(grid, seed)
+    v = np.random.default_rng(seed).uniform(0.0, 2.0 * scale ** 2, w.size)
+    sorted_risks = sorted_prefix_sure_risks(w, v, grid)
+    tol = 1e-9 * (v.sum() + (w ** 2).sum() + grid ** 2 * w.size)
+    assert np.all(np.abs(_sure_risks(w, v, grid) - sorted_risks) <= tol)
+    tau = select_threshold(w, BandNoiseModel(variances=v, scale=scale), policy)
+    assert tau == grid[np.argmin(sorted_risks)]
+
+
+def dense_oracle_threshold(w, ref, grid):
+    # the grid-by-band risk matrix, one row per grid threshold
+    shrunk = np.sign(w)[None, :] * np.maximum(
+        np.abs(w)[None, :] - grid[:, None], 0.0)
+    risks = ((shrunk - ref[None, :]) ** 2).sum(axis=1)
+    return grid[int(np.argmin(risks))]
+
+
+@given(st.lists(st.tuples(_coefficient, _coefficient), min_size=1, max_size=80),
+       st.floats(1e-3, 10.0))
+@example([(0.0, 0.0)] * 5, 1.0)
+@example([(0.4, 0.0), (-0.3, 0.0), (0.2, 0.0)], 0.1)
+@example([(3.0, 3.0), (-1.0, -1.0), (0.5, 0.5)], 1.0)
+@example([(1.0, 0.5), (1.0, 0.5), (-2.0, 0.0)], 0.2)
+def test_oracle_shortlist_matches_dense_risk_matrix(pairs, scale):
+    w = np.array([p[0] for p in pairs])
+    ref = np.array([p[1] for p in pairs])
+    policy = ThresholdPolicy(selector="oracle-erm")
+    grid = threshold_grid(policy, scale)
+    noise = BandNoiseModel(variances=np.ones(w.size), scale=scale)
+    tau = select_threshold(w, noise, policy, reference=ref)
+    assert tau == dense_oracle_threshold(w, ref, grid)
+
+
+@pytest.mark.parametrize("scale", [1 / 3, 0.7, np.sqrt(255.0), 1e-3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_shortlist_matches_dense_at_grid_edges(scale, seed):
+    policy = ThresholdPolicy(selector="oracle-erm")
+    grid = threshold_grid(policy, scale)
+    w = grid_edge_band(grid, seed)
+    rng = np.random.default_rng(seed)
+    # sparse clean signal: most reference coefficients are 0
+    ref = np.where(rng.uniform(size=w.size) < 0.2, w, 0.0)
+    ref += rng.normal(0.0, 0.1 * scale, size=w.size)
+    noise = BandNoiseModel(variances=np.ones(w.size), scale=scale)
+    for r in (ref, np.zeros_like(w), w.copy()):
+        tau = select_threshold(w, noise, policy, reference=r)
+        assert tau == dense_oracle_threshold(w, r, grid)
+
+
+@pytest.mark.parametrize("scale", [1 / 3, 0.7, np.sqrt(255.0)])
+def test_oracle_near_ties_follow_the_direct_sum(scale):
+    # ref = w - sign(w) c with c midway between two grid points: the
+    # risk n (c - tau)^2 ties exactly between them, so only rounding
+    # decides, and the pick must be the one the direct sum makes
+    policy = ThresholdPolicy(selector="oracle-erm")
+    grid = threshold_grid(policy, scale)
+    noise = BandNoiseModel(variances=np.ones(5), scale=scale)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        j = rng.integers(1, grid.size - 2)
+        c = 0.5 * (grid[j] + grid[j + 1])
+        w = rng.uniform(grid[j + 1], 1.2 * grid[-1], size=5)
+        w *= rng.choice([-1.0, 1.0], size=5)
+        ref = w - np.sign(w) * c
+        tau = select_threshold(w, noise, policy, reference=ref)
+        assert tau == dense_oracle_threshold(w, ref, grid)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("selector", ["sure", "oracle-erm", "fixed"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_select_threshold_rejects_non_finite_band(selector, bad):
+    w = np.array([0.5, 1.0, bad, -2.0])
+    noise = BandNoiseModel(variances=np.ones(4), scale=1.0)
+    with pytest.raises(ValueError, match="band holds non-finite"):
+        select_threshold(w, noise, ThresholdPolicy(selector=selector),
+                         reference=np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_select_threshold_rejects_non_finite_variances(bad):
+    # these used to select 0.0 (NaN) or 1.0 (inf) without complaint
+    variances = np.array([1.0, bad, 1.0, 1.0])
+    noise = BandNoiseModel(variances=variances, scale=1.0)
+    with pytest.raises(ValueError, match="variance holds non-finite"):
+        select_threshold(np.array([0.5, 1.0, 3.0, -2.0]), noise,
+                         ThresholdPolicy(selector="sure"))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_select_threshold_rejects_non_finite_reference(bad):
+    noise = BandNoiseModel(variances=np.ones(4), scale=1.0)
+    with pytest.raises(ValueError, match="reference holds non-finite"):
+        select_threshold(np.array([0.5, 1.0, 3.0, -2.0]), noise,
+                         ThresholdPolicy(selector="oracle-erm"),
+                         reference=np.array([0.0, bad, 3.0, 0.0]))
 
 
 def test_sure_ties_break_toward_smaller_tau():

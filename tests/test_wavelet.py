@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from poissonridge.wavelet import (WaveletSpec, approximation_chain,
+import poissonridge.wavelet as wavelet
+from poissonridge.wavelet import (WaveletSpec, _filter_pair, _undec_adjoint,
+                                  _undec_analysis, approximation_chain,
                                   dwt_forward, dwt_inverse, lowpass_gain,
                                   wavelet_atom)
 
@@ -188,3 +192,82 @@ def test_lowpass_gain_powers_of_sqrt2():
     chain = approximation_chain(x, spec)
     for level, a in enumerate(chain, start=1):
         assert np.allclose(a, 3.0 * lowpass_gain(spec, level))
+
+
+def test_approximation_chain_is_the_forward_cascade():
+    # a_j of the chain is bit-identical to the approximation a j-level
+    # forward transform ends on
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0, 4, size=(32, 3))
+    for mode in ("decimated", "undecimated"):
+        for filt in ("haar", "db2"):
+            spec = WaveletSpec(filt, 3, mode)
+            chain = approximation_chain(x, spec)
+            for level, a in enumerate(chain, start=1):
+                pyr = dwt_forward(x, replace(spec, levels=level))
+                assert np.array_equal(a, pyr.approximation)
+
+
+def roll_analysis(x, taps, hole):
+    out = np.zeros_like(x)
+    for m, c in enumerate(taps):
+        out += c * np.roll(x, -m * hole, axis=0)
+    return out
+
+
+def roll_adjoint(a, d, lo, hi, hole):
+    x = np.zeros_like(a)
+    for m in range(len(lo)):
+        x += lo[m] * np.roll(a, m * hole, axis=0)
+        x += hi[m] * np.roll(d, m * hole, axis=0)
+    return x
+
+
+def valid_levels(n):
+    return [j for j in range(1, n.bit_length() + 1) if 2 ** j <= n]
+
+
+# n = 8 at 3 levels puts db2's last tap at 3 * 4 = 12 > n, so the
+# periodic shift wraps more than once across the taps
+KERNEL_CASES = [(filt, n, batch) for filt in ("haar", "db2")
+                for n in (2, 3, 5, 8, 13, 16) for batch in (None, 3)]
+
+
+@pytest.mark.parametrize("filt, n, batch", KERNEL_CASES)
+def test_undecimated_kernels_match_roll_reference(filt, n, batch):
+    rng = np.random.default_rng(n)
+    shape = (n,) if batch is None else (n, batch)
+    x, d = rng.normal(size=shape), rng.normal(size=shape)
+    lo, hi = _filter_pair(filt)
+    for level in valid_levels(n):
+        hole = 2 ** (level - 1)
+        for taps in (lo, hi):
+            assert np.array_equal(_undec_analysis(x, taps, hole),
+                                  roll_analysis(x, taps, hole))
+        assert np.array_equal(_undec_adjoint(x, d, lo, hi, hole),
+                              roll_adjoint(x, d, lo, hi, hole))
+
+
+@pytest.mark.parametrize("filt, n, batch", KERNEL_CASES)
+def test_undecimated_transforms_match_roll_reference(monkeypatch, filt, n,
+                                                     batch):
+    rng = np.random.default_rng(100 + n)
+    x = rng.uniform(0, 5, size=(n,) if batch is None else (n, batch))
+
+    def run(spec):
+        pyr = dwt_forward(x, spec)
+        atoms = [wavelet_atom(spec, level, k, n, band)
+                 for level in range(1, spec.levels + 1) for k in range(n)
+                 for band in ("detail", "approximation")]
+        return [pyr.approximation, *pyr.details, dwt_inverse(pyr), *atoms]
+
+    for levels in valid_levels(n):
+        spec = WaveletSpec(filt, levels, "undecimated")
+        with monkeypatch.context() as patched:
+            patched.setattr(wavelet, "_undec_analysis", roll_analysis)
+            patched.setattr(wavelet, "_undec_adjoint", roll_adjoint)
+            expected = run(spec)
+        got = run(spec)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
