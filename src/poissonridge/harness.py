@@ -7,6 +7,10 @@ predictions: means against the noiseless transform, variances against
 the moment-matched model, per-coefficient mean/variance ratios with
 confidence intervals, variance-vs-intensity regressions, and a
 chi-square goodness-of-fit check for integer-valued variants.
+
+scipy.stats serves only the goodness-of-fit check and is imported
+where that check runs: loading it takes several times as long as the
+rest of the package, and the denoiser never needs it.
 """
 
 import heapq
@@ -15,7 +19,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, poisson
 
 from .phantoms import make_phantom, validate_intensity
 from .radon import _check_column_wavelet, propagate_intensity
@@ -220,6 +223,8 @@ def _gof_fraction(hist, rates, samples, alpha=0.01):
     overflow. Coefficients are grouped by rate so binning and critical
     values are computed once per distinct intensity.
     """
+    from scipy.stats import chi2, poisson
+
     flat_hist = hist.reshape(-1, hist.shape[-1])
     flat_rates = np.asarray(rates, dtype=float).ravel()
     top = hist.shape[-1] - 1
@@ -234,26 +239,29 @@ def _gof_fraction(hist, rates, samples, alpha=0.01):
     lams, starts = np.unique(keys, return_index=True)
     stops = np.append(starts[1:], keys.size)
 
-    passed = 0
-    tested = 0
-    for lam, start, stop in zip(lams, starts, stops):
-        expected = np.empty(top + 1)
-        expected[:top] = samples * poisson.pmf(np.arange(top), lam)
-        expected[top] = samples * poisson.sf(top - 1, lam)
-        groups = _merge_sparse_bins(expected)
+    # expected outcome counts of every distinct rate: one row per rate
+    expected = np.empty((lams.size, top + 1))
+    expected[:, :top] = samples * poisson.pmf(np.arange(top), lams[:, None])
+    expected[:, top] = samples * poisson.sf(top - 1, lams)
+
+    stats = []
+    dofs = []
+    for row, start, stop in zip(expected, starts, stops):
+        groups = _merge_sparse_bins(row)
         if len(groups) < 2:
             continue
         # groups are runs of adjacent bins, so each folds with reduceat
         rows = flat_hist[coefs[start:stop]]
         folded = np.add.reduceat(rows, [idx[0] for idx in groups], axis=1)
-        exp_folded = np.array([expected[idx[0]:idx[-1] + 1].sum()
+        exp_folded = np.array([row[idx[0]:idx[-1] + 1].sum()
                                for idx in groups])
-        stat = ((folded - exp_folded) ** 2 / exp_folded).sum(axis=1)
-        crit = chi2.ppf(1.0 - alpha, len(groups) - 1)
-        passed += int((stat <= crit).sum())
-        tested += rows.shape[0]
-    if tested == 0:
+        stats.append(((folded - exp_folded) ** 2 / exp_folded).sum(axis=1))
+        dofs.append(len(groups) - 1)
+    if not stats:
         return float("nan"), 0
+    crits = chi2.ppf(1.0 - alpha, dofs)
+    passed = sum(int((stat <= crit).sum()) for stat, crit in zip(stats, crits))
+    tested = sum(stat.size for stat in stats)
     return passed / tested, tested
 
 
@@ -357,6 +365,8 @@ def run_distribution_experiment(spec, transform, samples, seed,
     bands = [_BandSums(pm, d > 0) for pm, d in zip(pred_mean, drivers)]
 
     if gof:
+        from scipy.stats import poisson
+
         top = int(poisson.isf(1e-9, max(rates.max(), 1e-3))) + 1
         # flat (coefficient, outcome) counts; coefficient c's bins start
         # at c * (top + 1)

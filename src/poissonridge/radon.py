@@ -299,6 +299,14 @@ def _sum_unturned(images):
     return out
 
 
+def _rotation_radius(h, w):
+    """Largest offset of a rotation sinogram of an h x w image.
+
+    The sinogram has 2 * radius + 1 offset rows.
+    """
+    return int(np.ceil(np.hypot((h - 1) / 2.0, (w - 1) / 2.0))) + 2
+
+
 def drt_rotation(img, angles=180, interp="linear"):
     """Radon transform on angle bins over [0, pi).
 
@@ -344,7 +352,7 @@ def drt_rotation(img, angles=180, interp="linear"):
     vals = np.concatenate([view.reshape(npix, n_img).T
                            for view in _oriented_views(arr, n_views)])
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    radius = int(np.ceil(np.hypot(cy, cx))) + 2
+    radius = _rotation_radius(h, w)
     nr = 2 * radius + 1
     ys = np.arange(h) - cy
     xs = np.arange(w) - cx

@@ -16,7 +16,8 @@ from .phantoms import _nonnegative_grid
 # name stays bound because bench/selftest.py checks through it that the
 # benchmark tracer also wraps names re-exported into other modules.
 from .radon import Sinogram, TransformConfig, _check_column_wavelet, \
-    drt_rotation, fbp_invert, propagate_intensity  # noqa: F401
+    _rotation_radius, drt_rotation, fbp_invert, \
+    propagate_intensity  # noqa: F401
 from .shrinkage import ThresholdPolicy, apply_shrinkage, estimate_band_noise, \
     select_pyramid_thresholds
 # approximation_chain is not called here (_analysis_cascade keeps the
@@ -165,8 +166,9 @@ def denoise_full(noisy, config, reference=None):
         noisy's height (an undecimated 2**levels above it, or a
         decimated 2**levels that does not divide it); in image mode
         also if the transform is not the rotation variant (only it can
-        be backprojected) or the wavelet is decimated (Radon columns
-        have odd length).
+        be backprojected), if the wavelet is decimated (Radon columns
+        have odd length) or if an undecimated 2**levels exceeds the
+        Radon column length.
     """
     noisy = _nonnegative_grid(noisy, "noisy counts", "count")
     if reference is not None:
@@ -192,6 +194,7 @@ def denoise_full(noisy, config, reference=None):
             f"{config.transform.variant!r}: only rotation sinograms can be "
             f"backprojected; denoise gdb data with entry = sinogram")
     _check_column_wavelet(config.wavelet)
+    _check_length(2 * _rotation_radius(*noisy.shape) + 1, config.wavelet)
     if reference is None:
         sino, ref_data = propagate_intensity(noisy, config.transform), None
     else:

@@ -10,6 +10,8 @@ terms are summed per bucket. Approximation coefficients are never
 shrunk.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +71,17 @@ class ThresholdPolicy:
         self.selector = aliases.get(self.selector, self.selector)
         if self.selector not in ("oracle-erm", "sure", "fixed"):
             raise ValueError(f"unknown selector {self.selector!r}")
+        if not isinstance(self.grid_points, numbers.Integral):
+            raise ValueError(
+                f"grid_points must be an integer, got {self.grid_points!r}")
         if self.grid_points < 2:
             raise ValueError(f"grid_points must be >= 2, got {self.grid_points}")
-        if self.grid_max <= 0:
-            raise ValueError(f"grid_max must be > 0, got {self.grid_max}")
+        if not (math.isfinite(self.grid_max) and self.grid_max > 0):
+            raise ValueError(
+                f"grid_max must be finite and > 0, got {self.grid_max}")
+        if not (math.isfinite(self.fixed_scale) and self.fixed_scale >= 0):
+            raise ValueError(
+                f"fixed_scale must be finite and >= 0, got {self.fixed_scale}")
 
 
 def estimate_band_noise(band, approx, spec, level):

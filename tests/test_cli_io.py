@@ -74,6 +74,8 @@ def test_component_validation_is_wrapped_with_location():
         parse_config("transform.interp = bicubic\n")
     with pytest.raises(ConfigError, match=r"line 1.*wavelet\.levels"):
         parse_config("wavelet.levels = 0\n")
+    with pytest.raises(ConfigError, match=r"line 2.*policy\.fixed_scale"):
+        parse_config("policy.selector = fixed\npolicy.fixed_scale = nan\n")
 
 
 def test_pet_preset_applies_first_then_overrides():

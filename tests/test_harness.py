@@ -224,6 +224,28 @@ def gof_per_rate_masks(hist, rates, samples, alpha=0.01):
     return (passed / tested, tested) if tested else (float("nan"), 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(20, 400),
+       distinct=st.integers(1, 12))
+def test_gof_fraction_matches_a_loop_over_the_rates(seed, samples, distinct):
+    # one pmf/sf table and one chi2.ppf call for every rate must count
+    # exactly what one call per rate counts; a third of the coefficients
+    # draw at 1.5x their rate, so both passes and failures occur
+    rng = np.random.default_rng(seed)
+    levels = np.concatenate([[0.0], rng.uniform(1e-3, 30.0, distinct)])
+    rates = rng.choice(levels, size=(9, 7))
+    top = int(poisson.isf(1e-9, max(rates.max(), 1e-3))) + 1
+    drawn = rates * rng.choice([1.0, 1.0, 1.5], size=rates.shape)
+    vals = np.clip(rng.poisson(drawn[..., None], rates.shape + (samples,)),
+                   0, top)
+    hist = (vals[..., None] == np.arange(top + 1)).sum(axis=-2)
+    frac, tested = harness._gof_fraction(hist, rates, samples)
+    want_frac, want_tested = gof_per_rate_masks(hist, rates, samples)
+    assert tested == want_tested
+    assert frac == want_frac or (tested == 0 and math.isnan(frac)
+                                 and math.isnan(want_frac))
+
+
 def dense_atoms(spec, level, band, n):
     nb = n // 2 ** level if spec.mode == "decimated" else n
     return np.stack([wavelet_atom(spec, level, k, n, band=band)

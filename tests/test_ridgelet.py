@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poissonridge.ridgelet as ridgelet
 import poissonridge.wavelet as wavelet
@@ -327,3 +329,70 @@ def test_image_entry_projects_noisy_and_reference_once(monkeypatch):
     assert calls == [(16, 16, 2)]
     alone = drt_rotation(counts, angles=12, interp="area").data
     assert np.array_equal(res.noisy_sinogram, alone)
+
+
+TRANSFORM_NAMES = ("propagate_intensity", "_analysis_cascade", "dwt_forward",
+                   "dwt_inverse", "fbp_invert")
+
+
+@st.composite
+def denoise_cases(draw):
+    """A shape, a config and counts, valid or not, for denoise_full."""
+    ndim = draw(st.sampled_from([2] * 6 + [1, 3]))
+    shape = tuple(draw(st.lists(st.integers(1, 20), min_size=ndim,
+                                max_size=ndim)))
+    transform = TransformConfig(
+        variant=draw(st.sampled_from(["rotation", "rotation", "gdb"])),
+        angles=draw(st.integers(1, 16)),
+        interp=draw(st.sampled_from(["nearest", "linear", "area"])))
+    wav = WaveletSpec(draw(st.sampled_from(["haar", "db2"])),
+                      levels=draw(st.integers(1, 5)),
+                      mode=draw(st.sampled_from(["undecimated", "undecimated",
+                                                 "decimated"])))
+    selector = draw(st.sampled_from(["sure", "oracle-erm", "fixed"]))
+    policy = ThresholdPolicy(
+        selector=selector,
+        grid_points=draw(st.integers(2, 60)),
+        grid_max=draw(st.floats(0.1, 10.0)),
+        per_band=draw(st.booleans()),
+        fixed_scale=draw(st.floats(0.0, 6.0)))
+    cfg = DenoiseConfig(transform=transform, wavelet=wav, policy=policy,
+                        entry=draw(st.sampled_from(["image", "sinogram"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rate = draw(st.sampled_from([0.0, 0.05, 1.0, 30.0]))
+    counts = rng.poisson(rate, size=shape).astype(float)
+    bad = draw(st.sampled_from([None] * 6 + [np.nan, np.inf, -1.0]))
+    if bad is not None and counts.size:
+        counts.flat[rng.integers(counts.size)] = bad
+    reference = None
+    if draw(st.sampled_from([True, True, True, False])):
+        reference = np.full(shape, rate)
+    return counts, cfg, reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(denoise_cases())
+def test_denoise_full_rejects_at_entry_or_returns_a_valid_estimate(case):
+    # the contract of denoise_full: either a ValueError before any
+    # transform runs, or a finite, non-negative estimate of the input shape
+    counts, cfg, reference = case
+    calls = []
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in TRANSFORM_NAMES:
+            mp.setattr(ridgelet, name,
+                       recording(name, getattr(ridgelet, name)))
+        try:
+            res = denoise_full(counts, cfg, reference=reference)
+        except ValueError:
+            assert calls == []
+            return
+    assert res.image.shape == counts.shape
+    assert np.all(np.isfinite(res.image))
+    assert res.image.min() >= 0.0

@@ -87,6 +87,22 @@ def test_policy_validation():
     assert ThresholdPolicy(selector="oracle").selector == "oracle-erm"
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("fixed_scale", float("nan"), "fixed_scale must be finite"),
+    ("fixed_scale", -1.0, "fixed_scale must be finite and >= 0"),
+    ("grid_max", float("inf"), "grid_max must be finite"),
+    ("grid_max", float("nan"), "grid_max must be finite"),
+    ("grid_points", 2.5, "grid_points must be an integer"),
+])
+def test_policy_rejects_bad_values_at_entry(field, bad, message):
+    # each used to pass here and fail later: a NaN image (fixed_scale
+    # nan, grid_max inf), an IndexError in the grid buckets (grid_max
+    # nan), a soft_threshold error (fixed_scale -1) or a TypeError
+    # (grid_points 2.5)
+    with pytest.raises(ValueError, match=message):
+        ThresholdPolicy(**{field: bad})
+
+
 def test_fixed_selector_scales_band_noise():
     noise = BandNoiseModel(variances=np.ones(4), scale=2.0)
     policy = ThresholdPolicy(selector="fixed", fixed_scale=3.0)
