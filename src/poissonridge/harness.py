@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phantoms import make_phantom, validate_intensity
-from .radon import _check_column_wavelet, propagate_intensity
+from .radon import _check_column_wavelet, _column_length, propagate_intensity
 from .seeding import derive_rng
-from .wavelet import dwt_forward, wavelet_atom
+from .wavelet import _check_length, dwt_forward, wavelet_atom
 
 __all__ = [
     "DistReport",
@@ -291,13 +291,14 @@ class _BandSums:
         """Fold in samples stacked along the last axis, first to last.
 
         Every sum is taken one sample at a time in sample order, so the
-        totals do not depend on how the samples were batched.
+        totals do not depend on how the samples were batched. The
+        samples are read from one samples-first copy, each contiguous.
         """
-        squares = stack * stack
-        for k in range(stack.shape[-1]):
-            sample = stack[..., k]
+        samples = np.moveaxis(stack, -1, 0).copy()
+        squares = samples * samples
+        for sample, square in zip(samples, squares):
             self.s1 += sample
-            self.s2 += squares[..., k]
+            self.s2 += square
             if self.any_valid:
                 diff = float((sample - self.mean)[self.valid].mean())
                 self.d1 += diff
@@ -325,7 +326,9 @@ def run_distribution_experiment(spec, transform, samples, seed,
         When given, per-projection pyramids are accumulated too and the
         result gains one report per detail level plus the approximation.
         Must be undecimated: decimated analysis needs an even length,
-        and Radon columns have an odd number of offsets.
+        and Radon columns have an odd number of offsets. Its 2**levels
+        must not exceed the Radon column length; both are checked
+        before anything is projected.
     gof : bool
         Also run the per-coefficient Poisson chi-square test on the
         radon band. Requires an integer-valued variant (gdb, or rotation
@@ -347,6 +350,8 @@ def run_distribution_experiment(spec, transform, samples, seed,
             "(gdb variant or nearest interpolation)")
 
     intensity = validate_intensity(make_phantom(spec))
+    if wavelet is not None:
+        _check_length(_column_length(intensity.shape, transform), wavelet)
     rates = propagate_intensity(intensity, transform).data
     n_off, n_cols = rates.shape
 

@@ -174,7 +174,12 @@ def _drt_single_quadrant(a):
     power-of-two edge n; trailing axes are a batch, each transformed on
     its own. Returns an array of shape (n, 2n-1, ...):
     [slope, intercept index, ...], intercept h = idx-(n-1).
-    Runs the pairwise column-merge recursion, O(n^2 log n) adds.
+    Runs the pairwise column-merge recursion, O(n^2 log n) adds: at each
+    level, slope 2s + b of a merged block is slope s of its left half
+    plus slope s of its right half shifted by s + b rows. The right
+    halves are copied once into a zero-padded buffer and read through a
+    sheared view with b as an axis, so a level is one array add; a
+    shift past the top of the grid reads the padding (left + 0.0).
     """
     n = a.shape[0]
     batch = a.shape[2:]
@@ -186,21 +191,18 @@ def _drt_single_quadrant(a):
     width = 1
     while width < n:
         nb = z.shape[0] // 2
-        znew = np.zeros((nb, 2 * width, width_h) + batch)
-        left = z[0::2]
-        right = z[1::2]
-        for snew in range(2 * width):
-            shalf = snew // 2
-            shift = snew - shalf
-            if shift == 0:
-                znew[:, snew, :] = left[:, shalf, :] + right[:, shalf, :]
-            else:
-                znew[:, snew, :width_h - shift] = (
-                    left[:, shalf, :width_h - shift]
-                    + right[:, shalf, shift:])
-                # beyond that the right half starts above the grid: zero
-                znew[:, snew, width_h - shift:] = left[:, shalf, width_h - shift:]
-        z = znew
+        # the largest read is h + s + b = (width_h - 1) + (width - 1) + 1
+        right = np.zeros((nb, width, width_h + width) + batch)
+        right[:, :, :width_h] = z[1::2]
+        s0, s1, s2 = right.strides[:3]
+        # sheared[:, s, b, h] = right[:, s, h + s + b]
+        sheared = np.lib.stride_tricks.as_strided(
+            right, shape=(nb, width, 2, width_h) + batch,
+            strides=(s0, s1 + s2, s2, s2) + right.strides[3:],
+            writeable=False)
+        # [:, s, b] is slope 2s + b
+        z = np.add(z[0::2, :, None], sheared).reshape(
+            (nb, 2 * width, width_h) + batch)
         width *= 2
     return z[0, :, :2 * n - 1]    # [slope, h index, ...], h in [-(n-1), n-1]
 
@@ -211,6 +213,14 @@ def _image_stack(img):
         raise ValueError(
             f"image must be 2-D or a stack of 2-D images, got shape {arr.shape}")
     return arr
+
+
+def _gdb_edge(h, w):
+    """Power-of-two edge n that drt_gdb pads an h x w image to."""
+    n = 1
+    while n < max(h, w):
+        n *= 2
+    return n
 
 
 def drt_gdb(img):
@@ -227,9 +237,7 @@ def drt_gdb(img):
     entry is bit-identical to transforming that image alone.
     """
     arr = _image_stack(img)
-    n = 1
-    while n < max(arr.shape[:2]):
-        n *= 2
+    n = _gdb_edge(*arr.shape[:2])
     a = np.zeros((n, n) + arr.shape[2:])
     a[:arr.shape[0], :arr.shape[1]] = arr
     views = (a, np.swapaxes(a, 0, 1), a[::-1], np.swapaxes(a[:, ::-1], 0, 1))
@@ -332,11 +340,11 @@ def drt_rotation(img, angles=180, interp="linear"):
     and taps serves up to four angles, each projecting a turned or
     mirrored view of the image (``nearest`` is never folded, because
     np.rint breaks exact half-integer ties differently on the folded
-    geometry). Each orbit deposits all taps of all views of all stack
-    entries with one np.bincount, entry e's bins offset by e * nr and,
-    within an entry, in the same (tap, pixel) order as a single image,
-    so every stack entry is bit-identical to transforming that image
-    alone.
+    geometry). Each orbit builds the deposit bins of all stack entries
+    once, entry e's offset by e * nr, weights every view in one
+    multiply, and deposits each view with its own np.bincount: within
+    an entry in the same (tap, pixel) order as a single image, so every
+    stack entry is bit-identical to transforming that image alone.
     """
     if interp not in _ROTATION_MODES:
         raise ValueError(f"unknown interpolation mode {interp!r}")
@@ -366,9 +374,9 @@ def drt_rotation(img, angles=180, interp="linear"):
     first = np.empty(npix, dtype=np.intp)
     taps = np.ones((max_taps, npix))             # nearest keeps tap 1.0
     u, clip = np.empty(npix), np.empty(npix)
-    bin_buf = np.empty(len(vals) * max_taps * npix, dtype=np.intp)
+    bin_buf = np.empty(n_img * max_taps * npix, dtype=np.intp)
     weight_buf = np.empty(len(vals) * max_taps * npix)
-    entry_offsets = (np.arange(1, len(vals)) * nr)[:, None, None]
+    entry_offsets = (np.arange(1, n_img) * nr)[:, None, None]
     out = np.empty((nr, len(thetas), n_img))
     for t, cols in orbits:
         ct, st = np.cos(t), np.sin(t)
@@ -390,20 +398,25 @@ def drt_rotation(img, angles=180, interp="linear"):
             else:
                 _area_taps(frac, a, b, taps, u, clip)
                 n_taps, lead = 4, -1
-        # entry e, tap m, pixel p deposits into bin e*nr + first[p] + m
-        n_entries = len(cols) * n_img
-        size = n_entries * n_taps * npix
-        bins = bin_buf[:size].reshape(n_entries, n_taps, npix)
-        weights = weight_buf[:size].reshape(n_entries, n_taps, npix)
+        # entry e, tap m, pixel p deposits into bin e*nr + first[p] + m;
+        # every view of the orbit deposits into these bins
+        size = n_img * n_taps * npix
+        bins = bin_buf[:size].reshape(n_img, n_taps, npix)
         np.copyto(first, base, casting="unsafe")
         np.add(first, radius + lead, out=first)
         np.add(first, np.arange(n_taps)[:, None], out=bins[0])
-        np.add(bins[0], entry_offsets[:n_entries - 1], out=bins[1:])
-        np.multiply(vals[:n_entries, None, :], taps[:n_taps], out=weights)
-        dep = np.bincount(bins.reshape(-1), weights.reshape(-1),
-                          minlength=n_entries * nr)
-        out[:, list(cols)] = np.moveaxis(dep.reshape(len(cols), n_img, nr),
-                                         -1, 0)
+        np.add(bins[0], entry_offsets, out=bins[1:])
+        flat_bins = bins.reshape(-1)
+        # row v of weights is view v's (entry, tap, pixel) weights, all
+        # from one multiply. A one-view buffer was faster in isolation,
+        # but with no large block freed glibc kept its trim threshold
+        # low, and the caller's heap was page-faulted again on every op
+        weights = weight_buf[:len(cols) * size].reshape(len(cols), size)
+        np.multiply(vals[:len(cols) * n_img, None, :], taps[:n_taps],
+                    out=weights.reshape(-1, n_taps, npix))
+        for col, view_weights in zip(cols, weights):
+            dep = np.bincount(flat_bins, view_weights, minlength=n_img * nr)
+            out[:, col] = dep.reshape(n_img, nr).T
     return Sinogram(
         variant="rotation",
         data=out.reshape((nr, len(thetas)) + batch),
@@ -475,6 +488,19 @@ def propagate_intensity(intensity, config):
     if config.variant == "gdb":
         return drt_gdb(arr)
     return drt_rotation(arr, angles=config.angles, interp=config.interp)
+
+
+def _column_length(shape, config):
+    """Offset rows of the sinogram config projects an image of shape to.
+
+    gdb: 2n - 1 on the padded power-of-two edge n; rotation:
+    2 * radius + 1. Entry points check a wavelet's depth against it
+    before anything is projected.
+    """
+    h, w = shape[:2]
+    if config.variant == "gdb":
+        return 2 * _gdb_edge(h, w) - 1
+    return 2 * _rotation_radius(h, w) + 1
 
 
 def _check_column_wavelet(wavelet):

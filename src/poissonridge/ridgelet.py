@@ -16,7 +16,7 @@ from .phantoms import _nonnegative_grid
 # name stays bound because bench/selftest.py checks through it that the
 # benchmark tracer also wraps names re-exported into other modules.
 from .radon import Sinogram, TransformConfig, _check_column_wavelet, \
-    _rotation_radius, drt_rotation, fbp_invert, \
+    _column_length, drt_rotation, fbp_invert, \
     propagate_intensity  # noqa: F401
 from .shrinkage import ThresholdPolicy, apply_shrinkage, estimate_band_noise, \
     select_pyramid_thresholds
@@ -103,14 +103,17 @@ def ridgelet_forward(image, config):
     Parameters
     ----------
     image : ndarray
-        2-D image of non-negative counts or rates; a stack of images or
-        negative values raise ValueError before anything is projected.
+        2-D image of non-negative counts or rates; a stack of images,
+        negative values or a wavelet that cannot analyze the image's
+        Radon columns raise ValueError before anything is projected.
     config : DenoiseConfig
         Its transform and wavelet fields are used.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {image.shape}")
+    _check_column_wavelet(config.wavelet)
+    _check_length(_column_length(image.shape, config.transform), config.wavelet)
     sino = propagate_intensity(image, config.transform)
     return RidgeletCoeffs(pyramid=dwt_forward(sino.data, config.wavelet),
                           sinogram=sino)
@@ -194,7 +197,7 @@ def denoise_full(noisy, config, reference=None):
             f"{config.transform.variant!r}: only rotation sinograms can be "
             f"backprojected; denoise gdb data with entry = sinogram")
     _check_column_wavelet(config.wavelet)
-    _check_length(2 * _rotation_radius(*noisy.shape) + 1, config.wavelet)
+    _check_length(_column_length(noisy.shape, config.transform), config.wavelet)
     if reference is None:
         sino, ref_data = propagate_intensity(noisy, config.transform), None
     else:

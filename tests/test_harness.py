@@ -159,6 +159,21 @@ def test_decimated_wavelet_rejected_before_sampling(monkeypatch, transform):
                                     wavelet=WaveletSpec("haar", 1, "decimated"))
 
 
+@pytest.mark.parametrize("transform, length", [
+    (TransformConfig("gdb"), 7), (TransformConfig("rotation", 12, "nearest"), 11)])
+def test_over_deep_wavelet_rejected_before_projecting(monkeypatch, transform,
+                                                      length):
+    def never(*args, **kwargs):
+        raise AssertionError("projected with an impossible depth")
+
+    for name in ("derive_rng", "propagate_intensity"):
+        monkeypatch.setattr(harness, name, never)
+    spec = PhantomSpec("inhomogeneous", 4, 0.5, 10.0, structures=[])
+    with pytest.raises(ValueError, match=f"at least 32; got {length}"):
+        run_distribution_experiment(spec, transform, 100, 0,
+                                    wavelet=WaveletSpec("haar", 5, "undecimated"))
+
+
 def test_variance_vs_intensity_inputs(gdb_reports):
     r = gdb_reports[0]
     fit = variance_vs_intensity(r)

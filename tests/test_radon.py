@@ -3,9 +3,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from poissonridge.radon import (Sinogram, TransformConfig, _angle_orbits,
-                                _area_taps, drt_gdb, drt_rotation, fbp_invert,
-                                gdb_lines, propagate_intensity)
+from poissonridge.radon import (Sinogram, TransformConfig, _angle_array,
+                                _angle_orbits, _area_taps, _column_length,
+                                _drt_single_quadrant, _oriented_views,
+                                _rotation_radius, drt_gdb, drt_rotation,
+                                fbp_invert, gdb_lines, propagate_intensity)
 
 
 def _trapezoid_cdf(u, a, b):
@@ -99,6 +101,34 @@ def test_drt_gdb_matches_brute_force_all_quadrants():
         assert np.allclose(block, brute_quadrant(view, n), atol=1e-12)
 
 
+def per_slope_quadrant(a):
+    """Reference recursion: each merged slope added on its own."""
+    n = a.shape[0]
+    batch = a.shape[2:]
+    width_h = 3 * n - 2
+    z = np.zeros((n, 1, width_h) + batch)
+    z[:, 0, n - 1:2 * n - 1] = np.swapaxes(a, 0, 1)
+    width = 1
+    while width < n:
+        left, right = z[0::2], z[1::2]
+        z = np.zeros((left.shape[0], 2 * width, width_h) + batch)
+        for snew in range(2 * width):
+            half = snew // 2
+            top = width_h - (snew - half)
+            z[:, snew, :top] = left[:, half, :top] + right[:, half, snew - half:]
+            # beyond that the right half starts above the grid
+            z[:, snew, top:] = left[:, half, top:]
+        width *= 2
+    return z[0, :, :2 * n - 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_sheared_recursion_matches_per_slope_loop(n, batch):
+    a = np.random.default_rng(n + len(batch)).normal(0.0, 2.0, size=(n, n) + batch)
+    assert np.array_equal(_drt_single_quadrant(a), per_slope_quadrant(a))
+
+
 def test_drt_gdb_conserves_mass_per_line_family():
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 2, size=(16, 16))
@@ -160,6 +190,9 @@ def test_derived_geometry_matches_the_stored_formulas(shape, stack):
     rot = drt_rotation(img, angles=5, interp="linear")
     assert (rot.offset_min, rot.gdb_size) == (-radius, 0)
     assert gdb.image_shape == rot.image_shape == shape
+    # what entry points check a wavelet's depth against before projecting
+    assert _column_length(img.shape, TransformConfig("gdb")) == gdb.data.shape[0]
+    assert _column_length(img.shape, TransformConfig()) == rot.data.shape[0]
 
 
 def test_sinogram_offsets_and_gdb_column():
@@ -340,6 +373,67 @@ def test_drt_rotation_stack_is_per_image_drt_rotation(interp, shape, n_images):
     assert np.array_equal(
         drt_rotation(stack[..., 0], angles=thetas, interp=interp).data,
         data[..., 0])
+
+
+def one_bincount_per_orbit(stack, angles, interp):
+    """Reference deposit: every view of an orbit in one np.bincount.
+
+    stack[row, col, entry]; returns data[offset, angle, entry].
+    """
+    h, w, n_img = stack.shape
+    npix = h * w
+    thetas = _angle_array(angles)
+    orbits = _angle_orbits(thetas, h, w, fold=interp != "nearest")
+    n_views = max(len(cols) for _, cols in orbits)
+    vals = np.concatenate([view.reshape(npix, n_img).T
+                           for view in _oriented_views(stack, n_views)])
+    radius = _rotation_radius(h, w)
+    nr = 2 * radius + 1
+    ys = np.arange(h) - (h - 1) / 2.0
+    xs = np.arange(w) - (w - 1) / 2.0
+    out = np.empty((nr, thetas.size, n_img))
+    for t, cols in orbits:
+        ct, st = np.cos(t), np.sin(t)
+        r = np.add.outer(ys * st, xs * ct).reshape(-1)
+        if interp == "nearest":
+            base, taps, lead = np.rint(r), np.ones((1, npix)), 0
+        else:
+            base = np.floor(r)
+            frac = r - base
+            a, b = max(abs(ct), abs(st)), min(abs(ct), abs(st))
+            if interp == "linear" or b < 1e-12:
+                taps, lead = np.array([1.0 - frac, frac]), 0
+            else:
+                taps, lead = np.empty((4, npix)), -1
+                _area_taps(frac, a, b, taps, np.empty(npix), np.empty(npix))
+        # entry v * n_img + e of vals is stack entry e seen through view v
+        n_entries = len(cols) * n_img
+        bins = (base.astype(np.intp) + radius + lead
+                + np.arange(len(taps))[:, None]
+                + (np.arange(n_entries) * nr)[:, None, None])
+        weights = vals[:n_entries, None, :] * taps
+        dep = np.bincount(bins.reshape(-1), weights.reshape(-1),
+                          minlength=n_entries * nr)
+        out[:, list(cols)] = np.moveaxis(dep.reshape(len(cols), n_img, nr),
+                                         -1, 0)
+    return out
+
+
+@pytest.mark.parametrize("interp", ["nearest", "linear", "area"])
+@pytest.mark.parametrize("shape, angles", [
+    ((16, 16), 180), ((9, 9), 8),
+    ((7, 12), 12), ((9, 9), np.array([0.0, 0.3, np.pi / 2, 2.0]))],
+    ids=["folded-180", "folded-8", "rectangle", "explicit"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_per_view_deposit_matches_one_bincount_per_orbit(interp, shape,
+                                                         angles, k):
+    # each view deposits with its own np.bincount, adding every bin's
+    # terms in the order the one shared bincount did: bit-identical,
+    # folded or not
+    stack = np.random.default_rng(sum(shape) + k).uniform(0.0, 4.0,
+                                                         size=shape + (k,))
+    data = drt_rotation(stack, angles=angles, interp=interp).data
+    assert np.array_equal(data, one_bincount_per_orbit(stack, angles, interp))
 
 
 # --- dihedral angle folding ------------------------------------------------

@@ -73,6 +73,24 @@ def test_forward_rejects_a_stack_before_projecting(monkeypatch):
         ridgelet_forward(np.ones((8, 8, 2)), DenoiseConfig())
 
 
+@pytest.mark.parametrize("transform, length", [
+    (TransformConfig("rotation", 12, "area"), 11), (TransformConfig("gdb"), 7)])
+def test_forward_rejects_over_deep_wavelet_before_projecting(
+        monkeypatch, transform, length):
+    # the column length comes from the image shape, so an undecimated
+    # depth beyond it fails before the image is projected
+    def never(*args, **kwargs):
+        raise AssertionError("projected with an impossible depth")
+
+    monkeypatch.setattr(ridgelet, "propagate_intensity", never)
+    cfg = DenoiseConfig(transform=transform, wavelet=WaveletSpec("haar", 5))
+    with pytest.raises(ValueError, match=f"at least 32; got {length}"):
+        ridgelet_forward(np.ones((4, 4)), cfg)
+    cfg.wavelet = WaveletSpec("haar", 1, "decimated")
+    with pytest.raises(ValueError, match="mode = undecimated"):
+        ridgelet_forward(np.ones((4, 4)), cfg)
+
+
 def test_projection_pyramid_views_columns():
     rng = np.random.default_rng(1)
     img = rng.uniform(0, 2, size=(8, 8))
