@@ -8,9 +8,10 @@ the moment-matched model, per-coefficient mean/variance ratios with
 confidence intervals, variance-vs-intensity regressions, and a
 chi-square goodness-of-fit check for integer-valued variants.
 
-scipy.stats serves only the goodness-of-fit check and is imported
-where that check runs: loading it takes several times as long as the
-rest of the package, and the denoiser never needs it.
+scipy serves only the goodness-of-fit check, through the scipy.special
+expressions in ``_dists``, imported where that check runs: the denoiser
+never needs scipy, and scipy.stats, which evaluates the same
+expressions, takes several times as long to load as the whole package.
 """
 
 import heapq
@@ -223,7 +224,7 @@ def _gof_fraction(hist, rates, samples, alpha=0.01):
     overflow. Coefficients are grouped by rate so binning and critical
     values are computed once per distinct intensity.
     """
-    from scipy.stats import chi2, poisson
+    from ._dists import chi2_ppf, poisson_pmf, poisson_sf
 
     flat_hist = hist.reshape(-1, hist.shape[-1])
     flat_rates = np.asarray(rates, dtype=float).ravel()
@@ -241,8 +242,8 @@ def _gof_fraction(hist, rates, samples, alpha=0.01):
 
     # expected outcome counts of every distinct rate: one row per rate
     expected = np.empty((lams.size, top + 1))
-    expected[:, :top] = samples * poisson.pmf(np.arange(top), lams[:, None])
-    expected[:, top] = samples * poisson.sf(top - 1, lams)
+    expected[:, :top] = samples * poisson_pmf(np.arange(top), lams[:, None])
+    expected[:, top] = samples * poisson_sf(top - 1, lams)
 
     stats = []
     dofs = []
@@ -259,7 +260,7 @@ def _gof_fraction(hist, rates, samples, alpha=0.01):
         dofs.append(len(groups) - 1)
     if not stats:
         return float("nan"), 0
-    crits = chi2.ppf(1.0 - alpha, dofs)
+    crits = chi2_ppf(1.0 - alpha, dofs)
     passed = sum(int((stat <= crit).sum()) for stat, crit in zip(stats, crits))
     tested = sum(stat.size for stat in stats)
     return passed / tested, tested
@@ -370,9 +371,9 @@ def run_distribution_experiment(spec, transform, samples, seed,
     bands = [_BandSums(pm, d > 0) for pm, d in zip(pred_mean, drivers)]
 
     if gof:
-        from scipy.stats import poisson
+        from ._dists import poisson_isf
 
-        top = int(poisson.isf(1e-9, max(rates.max(), 1e-3))) + 1
+        top = int(poisson_isf(1e-9, max(rates.max(), 1e-3))) + 1
         # flat (coefficient, outcome) counts; coefficient c's bins start
         # at c * (top + 1)
         hist = np.zeros(n_off * n_cols * (top + 1), dtype=np.int64)

@@ -20,11 +20,8 @@ from .radon import Sinogram, TransformConfig, _check_column_wavelet, \
     propagate_intensity  # noqa: F401
 from .shrinkage import ThresholdPolicy, apply_shrinkage, estimate_band_noise, \
     select_pyramid_thresholds
-# approximation_chain is not called here (_analysis_cascade keeps the
-# approximations of the one cascade); the name stays bound for the
-# tests that patch it to prove no transform runs on rejected input.
 from .wavelet import WaveletPyramid, WaveletSpec, _analysis_cascade, \
-    _check_length, approximation_chain, dwt_forward, dwt_inverse  # noqa: F401
+    _check_length, dwt_forward, dwt_inverse
 
 __all__ = [
     "RidgeletCoeffs",

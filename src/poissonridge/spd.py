@@ -15,8 +15,9 @@ variable used alongside it. When every |psi_i| on a side is equal the
 side's model is exact, not approximate; unit weights reduce the
 difference to a Skellam law.
 
-The pmf functions import scipy.stats where they call it, so importing
-the package loads numpy only.
+The pmf functions take their Poisson pmf and tail cut from ``_dists``
+(scipy.special) where they call them, so importing the package loads
+numpy only.
 """
 
 from dataclasses import dataclass
@@ -113,9 +114,9 @@ def _tail_cut(lam):
     # smallest k with the upper Poisson tail below _TAIL
     if lam <= 0:
         return 0
-    from scipy.stats import poisson
+    from ._dists import poisson_isf
 
-    return int(poisson.isf(_TAIL, lam)) + 1
+    return int(poisson_isf(_TAIL, lam)) + 1
 
 
 def spd_pmf(params, w, variant="difference", tol=1e-9):
@@ -126,7 +127,7 @@ def spd_pmf(params, w, variant="difference", tol=1e-9):
     alpha_plus * p -/+ alpha_minus * m lies within tol of w. Accepts a
     scalar or an array of outcome values.
     """
-    from scipy.stats import poisson
+    from ._dists import poisson_pmf
 
     _check_variant(variant)
     if tol <= 0:
@@ -135,9 +136,9 @@ def spd_pmf(params, w, variant="difference", tol=1e-9):
     ap, lp = params.alpha_plus, params.lambda_plus
     am, lm = params.alpha_minus, params.lambda_minus
     p_range = np.arange(_tail_cut(lp) + 1)
-    p_pmf = poisson.pmf(p_range, lp) if lp > 0 else np.ones(1)
+    p_pmf = poisson_pmf(p_range, lp) if lp > 0 else np.ones(1)
     m_range = np.arange(_tail_cut(lm) + 1)
-    m_pmf = poisson.pmf(m_range, lm) if lm > 0 else np.ones(1)
+    m_pmf = poisson_pmf(m_range, lm) if lm > 0 else np.ones(1)
 
     def one(wv):
         if am == 0.0:
@@ -183,7 +184,7 @@ def _exact_coeff_pmf(atom, intensities, tail):
     rounded outcome values to probabilities, or None when the grouped
     enumeration would still be too large.
     """
-    from scipy.stats import poisson
+    from ._dists import poisson_isf, poisson_pmf
 
     psi = np.asarray(atom, dtype=float)
     lam = np.asarray(intensities, dtype=float)
@@ -197,7 +198,7 @@ def _exact_coeff_pmf(atom, intensities, tail):
         return {0.0: 1.0}
     cuts = []
     for p, l in groups.items():
-        hi = int(poisson.isf(tail, l)) + 1
+        hi = int(poisson_isf(tail, l)) + 1
         cuts.append((p, l, hi))
     budget = 1
     for _, _, hi in cuts:
@@ -207,7 +208,7 @@ def _exact_coeff_pmf(atom, intensities, tail):
     dist = {0.0: 1.0}
     for p, l, hi in cuts:
         counts = np.arange(hi + 1)
-        pmf = poisson.pmf(counts, l)
+        pmf = poisson_pmf(counts, l)
         new = {}
         for value, prob in dist.items():
             for c, pc in zip(counts, pmf):
@@ -252,7 +253,7 @@ def wavelet_coeff_dist(atom, intensities, variant="difference", tail=1e-12):
         pooling equal-weight coordinates). quality is None when exact
         enumeration is infeasible for the atom.
     """
-    from scipy.stats import poisson
+    from ._dists import poisson_pmf
 
     params = moment_match(atom, intensities)
     exact = _exact_coeff_pmf(atom, intensities, tail)
@@ -262,9 +263,9 @@ def wavelet_coeff_dist(atom, intensities, variant="difference", tail=1e-12):
     sign = -1.0 if variant == "difference" else 1.0
     p_hi = _tail_cut(params.lambda_plus)
     m_hi = _tail_cut(params.lambda_minus)
-    p_pmf = poisson.pmf(np.arange(p_hi + 1), params.lambda_plus) \
+    p_pmf = poisson_pmf(np.arange(p_hi + 1), params.lambda_plus) \
         if params.lambda_plus > 0 else np.array([1.0])
-    m_pmf = poisson.pmf(np.arange(m_hi + 1), params.lambda_minus) \
+    m_pmf = poisson_pmf(np.arange(m_hi + 1), params.lambda_minus) \
         if params.lambda_minus > 0 else np.array([1.0])
     model = {}
     for p, prob_p in enumerate(p_pmf):
