@@ -11,7 +11,7 @@ compares two stored grids. Failures print a single
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,24 +59,15 @@ class RunReport:
 
 def _load(args):
     cfg = load_config(args.config) if args.config else parse_config("")
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         cfg = replace(cfg, output_dir=args.output_dir)
     return cfg
 
 
 def _config_echo(cfg):
-    return [
-        f"phantom = {cfg.phantom}",
-        f"transform = {cfg.transform}",
-        f"wavelet = {cfg.wavelet}",
-        f"policy = {cfg.policy}",
-        f"entry = {cfg.entry}",
-        f"samples = {cfg.samples}",
-        f"seed = {cfg.seed}",
-        f"output_dir = {cfg.output_dir}",
-    ]
+    return [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
 
 
 def _out(cfg, name):
@@ -118,29 +109,20 @@ def _cmd_transform(args):
 
 
 def _report_meta(rep):
-    meta = {
-        "band": rep.band,
-        "level": rep.level,
-        "samples": rep.samples,
-        "n_coefficients": rep.n_coefficients,
-        "mean_ci": f"{rep.mean_ci[0]:.17g};{rep.mean_ci[1]:.17g}",
-        "variance_ci": f"{rep.variance_ci[0]:.17g};{rep.variance_ci[1]:.17g}",
-        "mean_var_ratio": f"{rep.mean_var_ratio:.17g}",
-        "mean_var_ratio_ci": f"{rep.mean_var_ratio_ci[0]:.17g};"
-                             f"{rep.mean_var_ratio_ci[1]:.17g}",
-        "var_pred_ratio": f"{rep.var_pred_ratio:.17g}",
-        "var_pred_ratio_ci": f"{rep.var_pred_ratio_ci[0]:.17g};"
-                             f"{rep.var_pred_ratio_ci[1]:.17g}",
-        "mean_diff": f"{rep.mean_diff:.17g}",
-        "mean_diff_ci": f"{rep.mean_diff_ci[0]:.17g};"
-                        f"{rep.mean_diff_ci[1]:.17g}",
-        "slope": f"{rep.slope:.17g}",
-        "intercept": f"{rep.intercept:.17g}",
-        "r_squared": f"{rep.r_squared:.17g}",
-    }
-    if rep.gof_pass_fraction is not None:
-        meta["gof_pass_fraction"] = f"{rep.gof_pass_fraction:.17g}"
-        meta["gof_tested"] = rep.gof_tested
+    """A report's scalar fields in field order: floats to 17 digits, CIs
+    as ``lo;hi``, and the GOF pair only when the test ran."""
+    meta = {}
+    for f in fields(rep):
+        value = getattr(rep, f.name)
+        if isinstance(value, tuple):
+            value = ";".join(f"{v:.17g}" for v in value)
+        elif isinstance(value, float):
+            value = f"{value:.17g}"
+        elif value is None or isinstance(value, np.ndarray):
+            continue
+        meta[f.name] = value
+    if rep.gof_pass_fraction is None:
+        del meta["gof_tested"]
     return meta
 
 
@@ -268,7 +250,6 @@ def _build_parser():
     p.add_argument("second")
     p.add_argument("--peak", type=float, default=None,
                    help="dynamic range override")
-    p.add_argument("--seed", type=int, help="accepted for uniformity")
     p.set_defaults(func=_cmd_metrics)
     return parser
 

@@ -7,17 +7,23 @@ Format, one setting per line::
     transform.angles = 180
     seed = 7
 
-Unknown keys are rejected with the offending line number. The ``preset``
-key applies a named bundle first, so later lines can still override
+The keys are RunConfig's fields: ``section.field`` one level into each
+component, the bare name for a top-level field. A value is parsed as the
+type of its default and validated by the dataclass owning the field, so
+a new field is a key, a DEFAULTS_TABLE row and a run-report line with no
+edit here. Errors name the offending line and key. The ``preset`` key
+applies a named bundle first, so later lines can still override
 individual fields. POISSONRIDGE_OUTPUT_DIR in the environment overrides
 output_dir regardless of the file.
 """
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 
+from .harness import _MIN_SAMPLES
 from .phantoms import Bar, Disk, PhantomSpec
 from .radon import TransformConfig
+from .ridgelet import _ENTRIES
 from .shrinkage import ThresholdPolicy
 from .wavelet import WaveletSpec
 
@@ -33,43 +39,30 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything an experiment needs besides the subcommand itself."""
+    """Everything an experiment needs besides the subcommand itself.
+
+    Construction rejects an unknown entry, a negative seed and fewer
+    samples than the Monte-Carlo harness accepts.
+    """
 
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
     transform: TransformConfig = field(default_factory=TransformConfig)
-    wavelet: WaveletSpec = field(
-        default_factory=lambda: WaveletSpec("haar", levels=1, mode="undecimated"))
+    wavelet: WaveletSpec = field(default_factory=WaveletSpec)
     policy: ThresholdPolicy = field(default_factory=ThresholdPolicy)
     entry: str = "image"
     samples: int = 1000
     seed: int = 0
     output_dir: str = "out"
 
-
-DEFAULTS_TABLE = """\
-key                           default
-phantom.kind                  homogeneous
-phantom.size                  64
-phantom.background_intensity  0.05
-phantom.structure_gain        10.0
-phantom.peak_factor           1.0
-phantom.structures            disk:0.5,0.5,0.125;bar:0.7,0.15,0.0625,0.3333333333333333
-transform.variant             rotation
-transform.angles              180
-transform.interp              linear
-wavelet.filter                haar
-wavelet.levels                1
-wavelet.mode                  undecimated
-policy.selector               sure
-policy.grid_points            51
-policy.grid_max               5.0
-policy.per_band               true
-policy.fixed_scale            3.0
-entry                         image
-samples                       1000
-seed                          0
-output_dir                    out
-"""
+    def __post_init__(self):
+        if self.entry not in _ENTRIES:
+            raise ValueError(
+                f"unknown entry mode {self.entry!r}; expected one of {_ENTRIES}")
+        if self.samples < _MIN_SAMPLES:
+            raise ValueError(
+                f"samples must be at least {_MIN_SAMPLES}, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _pet_preset(cfg):
@@ -92,153 +85,81 @@ def _pet_preset(cfg):
 _PRESETS = {"pet": _pet_preset}
 
 
-def _parse_bool(text, key, lineno):
-    low = text.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"line {lineno}: {key} expects a boolean, got {text!r}")
-
-
-def _parse_int(text, key, lineno):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: {key} expects an integer, got {text!r}") from None
-
-
-def _parse_float(text, key, lineno):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: {key} expects a number, got {text!r}") from None
-
-
-def _parse_structures(text, key, lineno):
-    shapes = []
-    for part in filter(None, (p.strip() for p in text.split(";"))):
-        name, _, args = part.partition(":")
+def _parser(convert, expects):
+    def parse(text, key, lineno):
         try:
-            vals = [float(v) for v in args.split(",")]
-        except ValueError:
-            vals = None
-        if name == "disk" and vals is not None and len(vals) == 3:
-            shapes.append(Disk(*vals))
-        elif name == "bar" and vals is not None and len(vals) == 4:
-            shapes.append(Bar(*vals))
-        else:
+            return convert(text)
+        except (KeyError, TypeError, ValueError):
             raise ConfigError(
-                f"line {lineno}: {key} expects disk:cx,cy,r or "
-                f"bar:x,y,w,h entries, got {part!r}")
-    return tuple(shapes)
+                f"line {lineno}: {key} expects {expects}, got {text!r}") from None
+    return parse
+
+
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+          **dict.fromkeys(("false", "0", "no", "off"), False)}
+_SHAPES = {"disk": Disk, "bar": Bar}
+
+
+def _shapes(text):
+    parts = filter(None, (part.strip() for part in text.split(";")))
+    return tuple(_SHAPES[name](*map(float, args.split(",")))
+                 for name, _, args in (part.partition(":") for part in parts))
+
+
+_parse_bool = _parser(lambda text: _BOOLS[text.lower()], "a boolean")
+_parse_structures = _parser(_shapes, "disk:cx,cy,r or bar:x,y,w,h entries")
+
+
+def _format_structures(shapes):
+    return ";".join(f"{type(shape).__name__.lower()}:"
+                    + ",".join(str(v) for v in astuple(shape))
+                    for shape in shapes)
+
+
+# type of a default -> (parser of a config value, defaults-table text)
+_CODECS = {
+    bool: (_parse_bool, lambda v: str(v).lower()),
+    int: (_parser(int, "an integer"), str),
+    float: (_parser(float, "a number"), str),
+    str: (_parser(str, "text"), str),
+    tuple: (_parse_structures, _format_structures),
+}
+
+
+def _settings(cfg):
+    """(key, section, name, value) per setting of cfg, in field order;
+    section is None for a top-level field."""
+    for outer in fields(cfg):
+        value = getattr(cfg, outer.name)
+        if not is_dataclass(value):
+            yield outer.name, None, outer.name, value
+            continue
+        for inner in fields(value):
+            yield (f"{outer.name}.{inner.name}", outer.name, inner.name,
+                   getattr(value, inner.name))
+
+
+_DEFAULTS = list(_settings(RunConfig()))
+
+_KEYS = {key: (section, name, _CODECS[type(value)][0])
+         for key, section, name, value in _DEFAULTS}
+
+DEFAULTS_TABLE = f"{'key':<30}default\n" + "".join(
+    f"{key:<30}{_CODECS[type(value)][1](value)}\n"
+    for key, _, _, value in _DEFAULTS)
 
 
 def _assign(cfg, key, value, lineno):
-    def bad_choice(options):
-        return ConfigError(
-            f"line {lineno}: {key} must be one of {sorted(options)}, "
-            f"got {value!r}")
-
-    if key == "phantom.kind":
-        if value not in ("homogeneous", "inhomogeneous", "synthetic-sinogram"):
-            raise bad_choice({"homogeneous", "inhomogeneous",
-                              "synthetic-sinogram"})
-        return replace(cfg, phantom=replace(cfg.phantom, kind=value))
-    if key == "phantom.size":
-        size = _parse_int(value, key, lineno)
-        if size < 1:
-            raise ConfigError(f"line {lineno}: phantom.size must be >= 1")
-        return replace(cfg, phantom=replace(cfg.phantom, size=size))
-    if key == "phantom.background_intensity":
-        lam = _parse_float(value, key, lineno)
-        if lam < 0:
-            raise ConfigError(
-                f"line {lineno}: phantom.background_intensity must be >= 0")
-        return replace(cfg, phantom=replace(cfg.phantom,
-                                            background_intensity=lam))
-    if key == "phantom.structure_gain":
-        gain = _parse_float(value, key, lineno)
-        if gain < 0:
-            raise ConfigError(
-                f"line {lineno}: phantom.structure_gain must be >= 0")
-        return replace(cfg, phantom=replace(cfg.phantom, structure_gain=gain))
-    if key == "phantom.peak_factor":
-        pf = _parse_float(value, key, lineno)
-        if pf <= 0:
-            raise ConfigError(
-                f"line {lineno}: phantom.peak_factor must be > 0")
-        return replace(cfg, phantom=replace(cfg.phantom, peak_factor=pf))
-    if key == "phantom.structures":
-        shapes = _parse_structures(value, key, lineno)
-        return replace(cfg, phantom=replace(cfg.phantom, structures=shapes))
-    if key in ("transform.variant", "transform.interp", "transform.angles"):
-        kwargs = {
-            "variant": cfg.transform.variant,
-            "angles": cfg.transform.angles,
-            "interp": cfg.transform.interp,
-        }
-        name = key.split(".", 1)[1]
-        kwargs[name] = (_parse_int(value, key, lineno)
-                        if name == "angles" else value)
-        try:
-            return replace(cfg, transform=TransformConfig(**kwargs))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    if key in ("wavelet.filter", "wavelet.levels", "wavelet.mode"):
-        kwargs = {
-            "filter": cfg.wavelet.filter,
-            "levels": cfg.wavelet.levels,
-            "mode": cfg.wavelet.mode,
-        }
-        name = key.split(".", 1)[1]
-        kwargs[name] = (_parse_int(value, key, lineno)
-                        if name == "levels" else value)
-        try:
-            return replace(cfg, wavelet=WaveletSpec(**kwargs))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    if key in ("policy.selector", "policy.grid_points", "policy.grid_max",
-               "policy.per_band", "policy.fixed_scale"):
-        kwargs = {
-            "selector": cfg.policy.selector,
-            "grid_points": cfg.policy.grid_points,
-            "grid_max": cfg.policy.grid_max,
-            "per_band": cfg.policy.per_band,
-            "fixed_scale": cfg.policy.fixed_scale,
-        }
-        name = key.split(".", 1)[1]
-        if name == "grid_points":
-            kwargs[name] = _parse_int(value, key, lineno)
-        elif name in ("grid_max", "fixed_scale"):
-            kwargs[name] = _parse_float(value, key, lineno)
-        elif name == "per_band":
-            kwargs[name] = _parse_bool(value, key, lineno)
-        else:
-            kwargs[name] = value
-        try:
-            return replace(cfg, policy=ThresholdPolicy(**kwargs))
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    if key == "entry":
-        if value not in ("image", "sinogram"):
-            raise bad_choice({"image", "sinogram"})
-        return replace(cfg, entry=value)
-    if key == "samples":
-        n = _parse_int(value, key, lineno)
-        if n < 1:
-            raise ConfigError(f"line {lineno}: samples must be >= 1")
-        return replace(cfg, samples=n)
-    if key == "seed":
-        n = _parse_int(value, key, lineno)
-        if n < 0:
-            raise ConfigError(f"line {lineno}: seed must be >= 0")
-        return replace(cfg, seed=n)
-    if key == "output_dir":
-        return replace(cfg, output_dir=value)
-    raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    if key not in _KEYS:
+        raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    section, name, parse = _KEYS[key]
+    update = {name: parse(value, key, lineno)}
+    try:
+        if section is not None:
+            update = {section: replace(getattr(cfg, section), **update)}
+        return replace(cfg, **update)
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: {key}: {exc}") from None
 
 
 def parse_config(text):
@@ -265,9 +186,8 @@ def parse_config(text):
                     f"known: {sorted(_PRESETS)}")
             cfg = _PRESETS[value](cfg)
     for lineno, key, value in entries:
-        if key == "preset":
-            continue
-        cfg = _assign(cfg, key, value, lineno)
+        if key != "preset":
+            cfg = _assign(cfg, key, value, lineno)
 
     env_dir = os.environ.get(_OUTPUT_DIR_ENV)
     if env_dir:

@@ -35,6 +35,9 @@ __all__ = [
 
 LineFit = namedtuple("LineFit", ["slope", "intercept", "r_squared"])
 
+# fewest Monte-Carlo samples a run accepts; RunConfig checks it too
+_MIN_SAMPLES = 100
+
 # Samples are transformed in batches holding about this many bytes of
 # Radon data each (one sample's sinogram is rates.nbytes), which keeps
 # peak memory flat; no result depends on it.
@@ -341,8 +344,8 @@ def run_distribution_experiment(spec, transform, samples, seed,
         Radon band first, then details finest to coarsest, then the
         approximation band.
     """
-    if samples < 100:
-        raise ValueError("samples must be at least 100")
+    if samples < _MIN_SAMPLES:
+        raise ValueError(f"samples must be at least {_MIN_SAMPLES}")
     _check_column_wavelet(wavelet)
     integer_valued = transform.variant == "gdb" or transform.interp == "nearest"
     if gof and not integer_valued:

@@ -5,7 +5,8 @@ rates. Counts are drawn independently per pixel, so the per-pixel
 signal-to-noise ratio is sqrt(rate).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,39 +41,58 @@ class Bar:
     height: float
 
 
-def _default_structures():
-    # centered disk of radius size/8 plus an off-center bar size/16 x size/3
-    return [Disk(0.5, 0.5, 0.125), Bar(0.70, 0.15, 0.0625, 1.0 / 3.0)]
+_KINDS = ("homogeneous", "inhomogeneous", "synthetic-sinogram")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhantomSpec:
     """Recipe for a reference intensity image.
+
+    Construction checks every field but the structures, whose bounds
+    ``make_phantom`` checks against the size.
 
     Attributes
     ----------
     kind : str
         ``"homogeneous"``, ``"inhomogeneous"`` or ``"synthetic-sinogram"``.
     size : int
-        Square grid edge in pixels (for the sinogram kind, the source
-        head-phantom edge; the output then has the detector geometry).
+        Square grid edge in pixels, >= 1 (for the sinogram kind, >= 2 and
+        the source head-phantom edge; the output then has the detector
+        geometry).
     background_intensity : float
-        Poisson rate of the background, > 0.
+        Poisson rate of the background, finite and >= 0.
     structure_gain : float
-        Structures are filled at gain x background.
-    structures : list of Disk | Bar
+        Structures are filled at gain x background; finite and >= 0.
+    structures : tuple of Disk | Bar
         Shapes for the inhomogeneous kind, in fraction-of-size units.
     peak_factor : float
         The synthetic sinogram is scaled so its peak equals
-        background_intensity x peak_factor.
+        background_intensity x peak_factor; finite and > 0.
     """
 
     kind: str = "homogeneous"
     size: int = 64
     background_intensity: float = 0.05
     structure_gain: float = 10.0
-    structures: list = field(default_factory=_default_structures)
+    # centered disk of radius size/8 plus an off-center bar size/16 x size/3
+    structures: tuple = (Disk(0.5, 0.5, 0.125), Bar(0.70, 0.15, 0.0625, 1.0 / 3.0))
     peak_factor: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(
+                f"unknown phantom kind {self.kind!r}; expected one of {_KINDS}")
+        least = 2 if self.kind == "synthetic-sinogram" else 1
+        if self.size < least:
+            raise ValueError(
+                f"{self.kind} phantom size must be >= {least}, got {self.size}")
+        for name in ("background_intensity", "structure_gain", "peak_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}")
+        if self.peak_factor == 0:
+            raise ValueError(f"peak_factor must be > 0, got {self.peak_factor}")
 
 
 # Standard piecewise-constant head phantom: intensity, semi-axes a/b,
@@ -140,11 +160,6 @@ def make_phantom(spec):
     ndarray
         2-D float64 array of Poisson rates.
     """
-    if spec.size < 1:
-        raise ValueError(f"phantom size must be >= 1, got {spec.size}")
-    if spec.background_intensity < 0:
-        raise ValueError(
-            f"background_intensity must be >= 0, got {spec.background_intensity}")
     size = int(spec.size)
     lam = float(spec.background_intensity)
 
@@ -171,18 +186,14 @@ def make_phantom(spec):
                 raise ValueError(f"structure {idx} has unknown type {type(shape)!r}")
         return img
 
-    if spec.kind == "synthetic-sinogram":
-        from .radon import drt_rotation  # local import keeps module load light
+    from .radon import drt_rotation  # local import keeps module load light
 
-        if size < 2:
-            raise ValueError("synthetic-sinogram needs size >= 2")
-        head = _head_phantom(size)
-        sino = drt_rotation(head, angles=size, interp="area")
-        peak = sino.data.max()
-        target = lam * float(spec.peak_factor)
-        return sino.data * (target / peak)
-
-    raise ValueError(f"unknown phantom kind {spec.kind!r}")
+    # synthetic-sinogram, the one kind left
+    head = _head_phantom(size)
+    sino = drt_rotation(head, angles=size, interp="area")
+    peak = sino.data.max()
+    target = lam * float(spec.peak_factor)
+    return sino.data * (target / peak)
 
 
 def sample_poisson(intensity, rng=None, seed=None):

@@ -33,6 +33,8 @@ __all__ = [
     "denoise_full",
 ]
 
+_ENTRIES = ("image", "sinogram")
+
 
 @dataclass
 class RidgeletCoeffs:
@@ -80,7 +82,7 @@ class DenoiseConfig:
     clamp_negative: bool = True
 
     def __post_init__(self):
-        if self.entry not in ("image", "sinogram"):
+        if self.entry not in _ENTRIES:
             raise ValueError(f"unknown entry mode {self.entry!r}")
 
 

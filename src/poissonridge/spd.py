@@ -99,6 +99,11 @@ def moment_match(atom, intensities):
     return SpdParams(alpha_plus=ap, lambda_plus=lp, alpha_minus=am, lambda_minus=lm)
 
 
+def _sign(variant):
+    # weight of the minus class: subtracted in the difference variant
+    return -1.0 if variant == "difference" else 1.0
+
+
 def spd_mean_var(params, variant="difference"):
     """Mean and variance of the modeled coefficient."""
     _check_variant(variant)
@@ -119,6 +124,13 @@ def _tail_cut(lam):
     return int(poisson_isf(_TAIL, lam)) + 1
 
 
+def _side_pmf(lam):
+    # pmf of one sign class's Poisson count on 0.._tail_cut(lam)
+    from ._dists import poisson_pmf
+
+    return poisson_pmf(np.arange(_tail_cut(lam) + 1), lam) if lam > 0 else np.ones(1)
+
+
 def spd_pmf(params, w, variant="difference", tol=1e-9):
     """Probability that the modeled coefficient equals w (within tol).
 
@@ -127,25 +139,22 @@ def spd_pmf(params, w, variant="difference", tol=1e-9):
     alpha_plus * p -/+ alpha_minus * m lies within tol of w. Accepts a
     scalar or an array of outcome values.
     """
-    from ._dists import poisson_pmf
-
     _check_variant(variant)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    sign = -1.0 if variant == "difference" else 1.0
-    ap, lp = params.alpha_plus, params.lambda_plus
-    am, lm = params.alpha_minus, params.lambda_minus
-    p_range = np.arange(_tail_cut(lp) + 1)
-    p_pmf = poisson_pmf(p_range, lp) if lp > 0 else np.ones(1)
-    m_range = np.arange(_tail_cut(lm) + 1)
-    m_pmf = poisson_pmf(m_range, lm) if lm > 0 else np.ones(1)
+    sign = _sign(variant)
+    ap, am = params.alpha_plus, params.alpha_minus
+    p_pmf = _side_pmf(params.lambda_plus)
+    m_pmf = _side_pmf(params.lambda_minus)
+    p_range = np.arange(p_pmf.size)
+    m_range = np.arange(m_pmf.size)
 
     def one(wv):
         if am == 0.0:
-            hits = np.abs(ap * p_range[:p_pmf.size] - wv) <= tol
+            hits = np.abs(ap * p_range - wv) <= tol
             return float(p_pmf[hits].sum())
         if ap == 0.0:
-            hits = np.abs(sign * am * m_range[:m_pmf.size] - wv) <= tol
+            hits = np.abs(sign * am * m_range - wv) <= tol
             return float(m_pmf[hits].sum())
         # solve alpha_plus p + sign * alpha_minus m = w for integer m
         m_idx = np.rint((wv - ap * p_range) / (sign * am)).astype(int)
@@ -170,8 +179,7 @@ def spd_sample(params, variant="difference", rng=None, seed=None, size=None):
     shape = () if size is None else size
     p = rng.poisson(params.lambda_plus, shape)
     m = rng.poisson(params.lambda_minus, shape)
-    sign = -1.0 if variant == "difference" else 1.0
-    out = params.alpha_plus * p + sign * params.alpha_minus * m
+    out = params.alpha_plus * p + _sign(variant) * params.alpha_minus * m
     return float(out) if size is None else out
 
 
@@ -253,20 +261,14 @@ def wavelet_coeff_dist(atom, intensities, variant="difference", tail=1e-12):
         pooling equal-weight coordinates). quality is None when exact
         enumeration is infeasible for the atom.
     """
-    from ._dists import poisson_pmf
-
     params = moment_match(atom, intensities)
     exact = _exact_coeff_pmf(atom, intensities, tail)
     if exact is None:
         return params, None
     # modeled pmf on its own lattice
-    sign = -1.0 if variant == "difference" else 1.0
-    p_hi = _tail_cut(params.lambda_plus)
-    m_hi = _tail_cut(params.lambda_minus)
-    p_pmf = poisson_pmf(np.arange(p_hi + 1), params.lambda_plus) \
-        if params.lambda_plus > 0 else np.array([1.0])
-    m_pmf = poisson_pmf(np.arange(m_hi + 1), params.lambda_minus) \
-        if params.lambda_minus > 0 else np.array([1.0])
+    sign = _sign(variant)
+    p_pmf = _side_pmf(params.lambda_plus)
+    m_pmf = _side_pmf(params.lambda_minus)
     model = {}
     for p, prob_p in enumerate(p_pmf):
         if prob_p < tail:

@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,71 @@ def test_defaults_table_lists_every_dotted_key():
     for key in ("phantom.kind", "transform.interp", "wavelet.mode",
                 "policy.grid_max", "entry", "samples", "output_dir"):
         assert key in DEFAULTS_TABLE
+
+
+def test_defaults_table_rows_parse_back_to_defaults():
+    rows = DEFAULTS_TABLE.splitlines()[1:]
+    text = "".join(f"{key} = {value}\n"
+                   for key, value in (row.split(None, 1) for row in rows))
+    assert parse_config(text) == RunConfig()
+
+
+def test_every_component_field_is_a_key():
+    # the keys are RunConfig's fields, one level into each component
+    defaults = RunConfig()
+    want = []
+    for outer in fields(defaults):
+        value = getattr(defaults, outer.name)
+        if is_dataclass(value):
+            want += [f"{outer.name}.{inner.name}" for inner in fields(value)]
+        else:
+            want.append(outer.name)
+    assert [row.split()[0] for row in DEFAULTS_TABLE.splitlines()[1:]] == want
+
+
+def test_samples_below_harness_floor_rejected_at_parse():
+    with pytest.raises(ConfigError, match=r"^line 2: samples: .*at least 100"):
+        parse_config("seed = 1\nsamples = 50\n")
+    assert parse_config("samples = 100\n").samples == 100
+
+
+# each case's last line is the one at fault
+_NEVER_RUN = [
+    *[[f"phantom.{name} = {value}"]
+      for name in ("background_intensity", "structure_gain", "peak_factor")
+      for value in ("nan", "inf", "-inf", "-1")],
+    ["phantom.peak_factor = 0"],
+    ["seed = 2", "phantom.size = 0"],
+    ["phantom.kind = synthetic-sinogram", "phantom.size = 1"],
+    ["phantom.size = 1", "phantom.kind = synthetic-sinogram"],
+    ["phantom.kind = mystery"],
+    ["seed = 2", "", "entry = both"],
+]
+
+
+@pytest.mark.parametrize(
+    "lines", _NEVER_RUN,
+    ids=lambda lines: ";".join(filter(None, lines)).replace(" ", ""))
+def test_settings_that_can_never_run_are_rejected_at_parse(lines):
+    key = lines[-1].split(" = ")[0]
+    with pytest.raises(ConfigError,
+                       match=rf"^line {len(lines)}: {re.escape(key)}: "):
+        parse_config("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": 99}, {"seed": -1}, {"entry": "both"}])
+def test_run_config_validates_itself(kwargs):
+    with pytest.raises(ValueError):
+        RunConfig(**kwargs)
+
+
+def test_cli_reports_samples_floor_with_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "transform.variant = gdb\nsamples = 50\n"
+                              f"output_dir = {tmp_path / 'x'}\n")
+    assert main(["verify-dist", "-c", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: config: line 2: samples:")
+    assert not (tmp_path / "x").exists()
 
 
 # --- pgm / csv storage ---------------------------------------------------

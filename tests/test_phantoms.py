@@ -52,6 +52,26 @@ def test_unknown_kind_rejected():
         make_phantom(PhantomSpec(kind="mystery"))
 
 
+@pytest.mark.parametrize("kwargs", [
+    *[{name: value}
+      for name in ("background_intensity", "structure_gain", "peak_factor")
+      for value in (np.nan, np.inf, -np.inf, -1.0)],
+    {"peak_factor": 0.0},
+    {"size": 0},
+    {"kind": "synthetic-sinogram", "size": 1},
+    {"kind": "mystery"},
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_spec_that_can_never_be_built_is_rejected_on_construction(kwargs):
+    with pytest.raises(ValueError):
+        PhantomSpec(**kwargs)
+
+
+def test_default_structures_are_a_tuple():
+    # the config parser builds a tuple; a list default would compare unequal
+    assert PhantomSpec().structures == (Disk(0.5, 0.5, 0.125),
+                                        Bar(0.70, 0.15, 0.0625, 1.0 / 3.0))
+
+
 def test_synthetic_sinogram_peak_scaling():
     spec = PhantomSpec(kind="synthetic-sinogram", size=64,
                        background_intensity=255.0, peak_factor=1.0)
