@@ -1,9 +1,10 @@
 """Ridgelet-domain Poisson denoising.
 
 Discrete Radon transforms (a recursive digital-line variant and a
-rotation-based variant), per-projection Haar wavelets, moment-matched
-scaled-Poisson-difference noise models, adaptive soft thresholding, and
-a Monte-Carlo harness that verifies the propagated statistics.
+rotation-based variant), per-projection orthonormal wavelets (Haar,
+db2), moment-matched scaled-Poisson-difference noise models, adaptive
+soft thresholding, and a Monte-Carlo harness that verifies the
+propagated statistics.
 """
 
 from .config import ConfigError, RunConfig, load_config, parse_config
@@ -14,14 +15,14 @@ from .harness import (DistReport, LineFit, run_distribution_experiment,
 from .metrics import mse, psnr, ssim_global
 from .phantoms import (Bar, Disk, PhantomSpec, make_phantom, sample_poisson,
                        validate_intensity)
-from .radon import (DiscreteLine, Sinogram, TransformConfig, drt_gdb,
-                    drt_rotation, fbp_invert, gdb_lines, propagate_intensity)
+from .radon import (Sinogram, TransformConfig, drt_gdb, drt_rotation,
+                    fbp_invert, propagate_intensity)
 from .ridgelet import (DenoiseConfig, DenoiseResult, RidgeletCoeffs, denoise,
                        denoise_full, ridgelet_forward, ridgelet_inverse)
 from .seeding import derive_rng, derive_seed_sequence
-from .shrinkage import (BandNoiseModel, ThresholdPolicy, apply_shrinkage,
-                        estimate_band_noise, select_pyramid_thresholds,
-                        select_threshold, soft_threshold, threshold_grid)
+from .shrinkage import (BandNoiseModel, ThresholdPolicy, estimate_band_noise,
+                        select_pyramid_thresholds, select_threshold,
+                        soft_threshold, threshold_grid)
 from .spd import (SpdParams, moment_match, spd_mean_var, spd_pmf, spd_sample,
                   wavelet_coeff_dist)
 from .svgplot import emit_scatter_svg
@@ -31,17 +32,17 @@ from .wavelet import (WaveletPyramid, WaveletSpec, approximation_chain,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bar", "BandNoiseModel", "ConfigError", "DenoiseConfig", "DenoiseResult",
-    "DiscreteLine", "Disk", "DistReport", "LineFit", "PhantomSpec",
-    "RidgeletCoeffs", "RunConfig", "Sinogram", "SpdParams", "ThresholdPolicy",
-    "TransformConfig", "WaveletPyramid", "WaveletSpec", "apply_shrinkage",
+    "Bar", "BandNoiseModel", "ConfigError", "DenoiseConfig",
+    "DenoiseResult", "Disk", "DistReport", "LineFit", "PhantomSpec",
+    "RidgeletCoeffs", "RunConfig", "Sinogram", "SpdParams",
+    "ThresholdPolicy", "TransformConfig", "WaveletPyramid", "WaveletSpec",
     "approximation_chain", "denoise", "denoise_full", "derive_rng",
     "derive_seed_sequence", "drt_gdb", "drt_rotation", "dwt_forward",
     "dwt_inverse", "emit_scatter_svg", "estimate_band_noise", "fbp_invert",
-    "gdb_lines", "load_config", "lowpass_gain", "make_phantom",
-    "moment_match", "mse", "parse_config", "propagate_intensity", "psnr",
-    "read_csv", "read_pgm", "read_sinogram", "ridgelet_forward",
-    "ridgelet_inverse", "run_distribution_experiment", "sample_poisson",
+    "load_config", "lowpass_gain", "make_phantom", "moment_match", "mse",
+    "parse_config", "propagate_intensity", "psnr", "read_csv", "read_pgm",
+    "read_sinogram", "ridgelet_forward", "ridgelet_inverse",
+    "run_distribution_experiment", "sample_poisson",
     "select_pyramid_thresholds", "select_threshold", "soft_threshold",
     "spd_mean_var", "spd_pmf", "spd_sample", "ssim_global",
     "threshold_grid", "validate_intensity", "variance_vs_intensity",

@@ -11,7 +11,10 @@ The keys are RunConfig's fields: ``section.field`` one level into each
 component, the bare name for a top-level field. A value is parsed as the
 type of its default and validated by the dataclass owning the field, so
 a new field is a key, a DEFAULTS_TABLE row and a run-report line with no
-edit here. Errors name the offending line and key. The ``preset`` key
+edit here. Errors name the offending line and key. A component is
+validated with its values after the last line, so the lines may pass
+through a state that could never run; an error names the first line
+since the component last built and that line's key. The ``preset`` key
 applies a named bundle first, so later lines can still override
 individual fields. POISSONRIDGE_OUTPUT_DIR in the environment overrides
 output_dir regardless of the file.
@@ -149,19 +152,6 @@ DEFAULTS_TABLE = f"{'key':<30}default\n" + "".join(
     for key, _, _, value in _DEFAULTS)
 
 
-def _assign(cfg, key, value, lineno):
-    if key not in _KEYS:
-        raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    section, name, parse = _KEYS[key]
-    update = {name: parse(value, key, lineno)}
-    try:
-        if section is not None:
-            update = {section: replace(getattr(cfg, section), **update)}
-        return replace(cfg, **update)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-
-
 def parse_config(text):
     """Parse config text into a RunConfig; see module docstring."""
     cfg = RunConfig()
@@ -185,9 +175,28 @@ def parse_config(text):
                     f"line {lineno}: unknown preset {value!r}, "
                     f"known: {sorted(_PRESETS)}")
             cfg = _PRESETS[value](cfg)
+    # per section (None for the top level): the field values set so far,
+    # the component they last built and, while they fail to build, the
+    # first line since they last did, with their latest error
+    updates, built, failing = {}, {}, {}
     for lineno, key, value in entries:
-        if key != "preset":
-            cfg = _assign(cfg, key, value, lineno)
+        if key == "preset":
+            continue
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        section, name, parse = _KEYS[key]
+        update = updates.setdefault(section, {})
+        update[name] = parse(value, key, lineno)
+        base = cfg if section is None else getattr(cfg, section)
+        try:
+            built[section] = replace(base, **update)
+            failing.pop(section, None)
+        except ValueError as exc:
+            failing[section] = failing.get(section, (lineno, key))[:2] + (exc,)
+    if failing:
+        lineno, key, exc = min(failing.values(), key=lambda fault: fault[0])
+        raise ConfigError(f"line {lineno}: {key}: {exc}")
+    cfg = replace(built.pop(None, cfg), **built)
 
     env_dir = os.environ.get(_OUTPUT_DIR_ENV)
     if env_dir:

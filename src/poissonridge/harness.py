@@ -114,18 +114,17 @@ class DistReport:
     gof_tested: int = 0
 
 
-def _band_report(band, level, samples, s1, s2, d1, d2,
-                 pred_mean, pred_var, driver):
-    emp_mean = s1 / samples
-    emp_var = (s2 - s1 * emp_mean) / (samples - 1)
+def _band_report(band, level, samples, sums, pred_var, driver):
+    emp_mean = sums.s1 / samples
+    emp_var = (sums.s2 - sums.s1 * emp_mean) / (samples - 1)
     emp_var = np.maximum(emp_var, 0.0)
 
     valid = driver > 0
     ratio_ok = valid & (emp_var > 0)
     ratios = emp_mean[ratio_ok] / emp_var[ratio_ok]
     pred_ratios = pred_var[ratio_ok] / emp_var[ratio_ok]
-    diff_mean = d1 / samples
-    diff_sd = math.sqrt(max(d2 - d1 * diff_mean, 0.0) / (samples - 1))
+    diff_mean = sums.d1 / samples
+    diff_sd = math.sqrt(max(sums.d2 - sums.d1 * diff_mean, 0.0) / (samples - 1))
     diff_half = 1.96 * diff_sd / math.sqrt(samples)
     scatter = np.column_stack([driver[valid], emp_var[valid]])
     if scatter.shape[0] >= 3:
@@ -140,7 +139,7 @@ def _band_report(band, level, samples, s1, s2, d1, d2,
         n_coefficients=int(valid.sum()),
         empirical_mean=emp_mean,
         empirical_variance=emp_var,
-        predicted_mean=pred_mean,
+        predicted_mean=sums.mean,
         predicted_variance=pred_var,
         mean_ci=_normal_ci(emp_mean[valid]),
         variance_ci=_normal_ci(emp_var[valid]),
@@ -269,11 +268,6 @@ def _gof_fraction(hist, rates, samples, alpha=0.01):
     return passed / tested, tested
 
 
-def _band_arrays(pyr, band_specs):
-    return [pyr.details[level - 1] if band == "detail" else pyr.approximation
-            for band, level in band_specs]
-
-
 class _BandSums:
     """Running moments of one band, folded in sample order.
 
@@ -359,19 +353,18 @@ def run_distribution_experiment(spec, transform, samples, seed,
     rates = propagate_intensity(intensity, transform).data
     n_off, n_cols = rates.shape
 
-    band_specs = []
-    pred_mean = []
+    # (band, level, predicted mean, predicted variance, driver) per band
+    bands = [("radon", 0, rates, rates.copy(), rates)]
     if wavelet is not None:
-        band_specs = [("detail", level) for level in range(1, wavelet.levels + 1)]
-        band_specs.append(("approximation", wavelet.levels))
-        pred_mean = _band_arrays(dwt_forward(rates, wavelet), band_specs)
-    pred_var = [_predicted_variance(rates, wavelet, band, level)
-                for band, level in band_specs]
-    drivers = [pm if b == "approximation" else pv
-               for (b, _), pm, pv in zip(band_specs, pred_mean, pred_var)]
-
-    radon = _BandSums(rates, rates > 0)
-    bands = [_BandSums(pm, d > 0) for pm, d in zip(pred_mean, drivers)]
+        pred = dwt_forward(rates, wavelet)
+        for level, mean in enumerate(pred.details, start=1):
+            var = _predicted_variance(rates, wavelet, "detail", level)
+            bands.append(("detail", level, mean, var, var))
+        var = _predicted_variance(rates, wavelet, "approximation",
+                                  wavelet.levels)
+        bands.append(("approximation", wavelet.levels, pred.approximation,
+                      var, pred.approximation))
+    sums = [_BandSums(mean, driver > 0) for _, _, mean, _, driver in bands]
 
     if gof:
         from ._dists import poisson_isf
@@ -388,30 +381,25 @@ def run_distribution_experiment(spec, transform, samples, seed,
                   .astype(np.int64)
                   for i in range(first, min(first + batch, samples))]
         data = propagate_intensity(np.stack(counts, axis=-1), transform).data
-        radon.add(data)
+        sums[0].add(data)
         if gof:
             # one unbuffered add for the batch; a bincount would zero and
             # add a histogram-sized array every batch, about 4x slower
             vals = np.clip(np.rint(data).astype(np.int64), 0, top)
             np.add.at(hist, (bin_base + vals.reshape(n_off * n_cols, -1)).ravel(), 1)
-        if band_specs:
+        if wavelet is not None:
             # the batch's columns side by side: one analysis for them all
             pyr = dwt_forward(data.reshape(n_off, -1), wavelet)
-            for acc, arr in zip(bands, _band_arrays(pyr, band_specs)):
+            for acc, arr in zip(sums[1:], pyr.details + [pyr.approximation]):
                 acc.add(arr.reshape(arr.shape[0], n_cols, -1))
 
-    reports = [_band_report("radon", 0, samples, radon.s1, radon.s2,
-                            radon.d1, radon.d2, rates, rates.copy(), rates)]
+    reports = [_band_report(band, level, samples, acc, pred_var, driver)
+               for (band, level, _, pred_var, driver), acc in zip(bands, sums)]
     if gof:
         frac, tested = _gof_fraction(hist.reshape(n_off, n_cols, top + 1),
                                      rates, samples)
         reports[0].gof_pass_fraction = frac
         reports[0].gof_tested = tested
-
-    for acc, (band, level), pv, driver in zip(bands, band_specs, pred_var,
-                                              drivers):
-        reports.append(_band_report(band, level, samples, acc.s1, acc.s2,
-                                    acc.d1, acc.d2, acc.mean, pv, driver))
     return reports
 
 

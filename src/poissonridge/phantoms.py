@@ -48,8 +48,8 @@ _KINDS = ("homogeneous", "inhomogeneous", "synthetic-sinogram")
 class PhantomSpec:
     """Recipe for a reference intensity image.
 
-    Construction checks every field but the structures, whose bounds
-    ``make_phantom`` checks against the size.
+    Construction checks every field; for the inhomogeneous kind each
+    structure must be a Disk or a Bar lying inside the grid.
 
     Attributes
     ----------
@@ -93,6 +93,23 @@ class PhantomSpec:
                     f"{name} must be finite and >= 0, got {value}")
         if self.peak_factor == 0:
             raise ValueError(f"peak_factor must be > 0, got {self.peak_factor}")
+        if self.kind == "inhomogeneous":
+            _check_structures(self.structures, int(self.size))
+
+
+def _check_structures(structures, size):
+    for idx, shape in enumerate(structures):
+        if isinstance(shape, Disk):
+            cx, cy, r = shape.cx * size, shape.cy * size, shape.radius * size
+            if cx - r < 0 or cy - r < 0 or cx + r > size or cy + r > size:
+                raise ValueError(f"structure {idx} (disk) extends outside the image")
+        elif isinstance(shape, Bar):
+            x0, y0 = shape.x * size, shape.y * size
+            x1, y1 = x0 + shape.width * size, y0 + shape.height * size
+            if x0 < 0 or y0 < 0 or x1 > size or y1 > size:
+                raise ValueError(f"structure {idx} (bar) extends outside the image")
+        else:
+            raise ValueError(f"structure {idx} has unknown type {type(shape)!r}")
 
 
 # Standard piecewise-constant head phantom: intensity, semi-axes a/b,
@@ -170,20 +187,15 @@ def make_phantom(spec):
         img = np.full((size, size), lam)
         y, x = np.mgrid[0:size, 0:size]
         level = lam * float(spec.structure_gain)
-        for idx, shape in enumerate(spec.structures):
+        # the spec has checked every structure's type and bounds
+        for shape in spec.structures:
             if isinstance(shape, Disk):
                 cx, cy, r = shape.cx * size, shape.cy * size, shape.radius * size
-                if cx - r < 0 or cy - r < 0 or cx + r > size or cy + r > size:
-                    raise ValueError(f"structure {idx} (disk) extends outside the image")
                 img[(x - cx) ** 2 + (y - cy) ** 2 <= r * r] = level
-            elif isinstance(shape, Bar):
+            else:
                 x0, y0 = shape.x * size, shape.y * size
                 x1, y1 = x0 + shape.width * size, y0 + shape.height * size
-                if x0 < 0 or y0 < 0 or x1 > size or y1 > size:
-                    raise ValueError(f"structure {idx} (bar) extends outside the image")
                 img[(y >= y0) & (y < y1) & (x >= x0) & (x < x1)] = level
-            else:
-                raise ValueError(f"structure {idx} has unknown type {type(shape)!r}")
         return img
 
     from .radon import drt_rotation  # local import keeps module load light

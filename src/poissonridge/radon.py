@@ -24,10 +24,8 @@ import numpy as np
 from .phantoms import _nonnegative_grid
 
 __all__ = [
-    "DiscreteLine",
     "Sinogram",
     "TransformConfig",
-    "gdb_lines",
     "drt_gdb",
     "drt_rotation",
     "propagate_intensity",
@@ -35,16 +33,6 @@ __all__ = [
 ]
 
 _ROTATION_MODES = ("nearest", "linear", "area")
-
-
-@dataclass(frozen=True)
-class DiscreteLine:
-    """A discrete line D_n(h, s): n points, one per column."""
-
-    n: int
-    intercept: int
-    slope: int
-    points: tuple
 
 
 @dataclass
@@ -97,74 +85,6 @@ class Sinogram:
     def gdb_size(self):
         """Padded grid edge n of a gdb sinogram (2n - 1 rows); 0 otherwise."""
         return (self.data.shape[0] + 1) // 2 if self.variant == "gdb" else 0
-
-    @property
-    def offsets(self):
-        return self.offset_min + np.arange(self.data.shape[0])
-
-    def gdb_column(self, quadrant, slope):
-        """Coefficient column for one (quadrant, slope) pair."""
-        if self.variant != "gdb":
-            raise ValueError("gdb_column is only defined for the gdb variant")
-        n = self.gdb_size
-        if not 1 <= quadrant <= 4:
-            raise ValueError(f"quadrant must be in 1..4, got {quadrant}")
-        if not 0 <= slope < n:
-            raise ValueError(f"slope must be in 0..{n - 1}, got {slope}")
-        return self.data[:, (quadrant - 1) * n + slope]
-
-
-# ---------------------------------------------------------------------------
-# gdb discrete lines
-
-_offset_cache = {}
-
-
-def _gdb_offsets(n, s):
-    """Row offsets (relative to the intercept) of D_n(0, s), memoized."""
-    key = (n, s)
-    cached = _offset_cache.get(key)
-    if cached is not None:
-        return cached
-    if n == 1:
-        out = np.zeros(1, dtype=np.int64)
-    else:
-        half = _gdb_offsets(n // 2, s // 2)
-        # joining shift: s//2 for even target slope, s//2 + 1 for odd
-        out = np.concatenate([half, half + (s - s // 2)])
-    _offset_cache[key] = out
-    return out
-
-
-def _check_pow2(n):
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid edge must be a power of two, got {n}")
-
-
-def gdb_lines(n, h, s):
-    """The discrete line D_n(h, s) joining (0, h) to (n-1, h+s).
-
-    Parameters
-    ----------
-    n : int
-        Grid edge, a power of two.
-    h : int
-        Intercept (row of the first column). May place the line partly
-        or fully outside the grid; sums over it treat such points as 0.
-    s : int
-        Slope in 0..n-1.
-
-    Returns
-    -------
-    DiscreteLine
-        Point list ordered by column, exactly one point per column.
-    """
-    _check_pow2(n)
-    if not 0 <= s <= n - 1:
-        raise ValueError(f"slope must be in 0..{n - 1}, got {s}")
-    offs = _gdb_offsets(n, s)
-    pts = tuple((i, int(h + offs[i])) for i in range(n))
-    return DiscreteLine(n=n, intercept=int(h), slope=int(s), points=pts)
 
 
 def _drt_single_quadrant(a):

@@ -18,8 +18,8 @@ from .phantoms import _nonnegative_grid
 from .radon import Sinogram, TransformConfig, _check_column_wavelet, \
     _column_length, drt_rotation, fbp_invert, \
     propagate_intensity  # noqa: F401
-from .shrinkage import ThresholdPolicy, apply_shrinkage, estimate_band_noise, \
-    select_pyramid_thresholds
+from .shrinkage import ThresholdPolicy, estimate_band_noise, \
+    select_pyramid_thresholds, soft_threshold
 from .wavelet import WaveletPyramid, WaveletSpec, _analysis_cascade, \
     _check_length, dwt_forward, dwt_inverse
 
@@ -48,15 +48,6 @@ class RidgeletCoeffs:
 
     pyramid: WaveletPyramid
     sinogram: Sinogram
-
-    def projection_pyramid(self, column):
-        """View of one projection's pyramid (1-D bands)."""
-        return WaveletPyramid(
-            approximation=self.pyramid.approximation[:, column],
-            details=[d[:, column] for d in self.pyramid.details],
-            spec=self.pyramid.spec,
-            original_length=self.pyramid.original_length,
-        )
 
 
 @dataclass
@@ -139,8 +130,8 @@ def _shrink_columns(counts, wavelet, policy, reference=None):
     if reference is not None:
         ref_pyr = dwt_forward(np.asarray(reference, dtype=float), wavelet)
     taus = select_pyramid_thresholds(pyr, policy, noise, ref_pyr)
-    shrunk = apply_shrinkage(pyr, policy, noise, ref_pyr, thresholds=taus)
-    return dwt_inverse(shrunk), taus
+    details = [soft_threshold(d, tau) for d, tau in zip(pyr.details, taus)]
+    return dwt_inverse(replace(pyr, details=details)), taus
 
 
 def denoise_full(noisy, config, reference=None):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import WaveletPyramid, lowpass_gain
+from .wavelet import lowpass_gain
 
 __all__ = [
     "BandNoiseModel",
@@ -25,7 +25,6 @@ __all__ = [
     "estimate_band_noise",
     "select_threshold",
     "select_pyramid_thresholds",
-    "apply_shrinkage",
 ]
 
 
@@ -273,25 +272,3 @@ def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):
     tau = select_threshold(w, pooled_noise, policy, pooled_ref)
     return [tau] * len(details)
 
-
-def apply_shrinkage(pyramid, policy, noise_models, reference=None, thresholds=None):
-    """Soft-threshold every detail band; approximation passes untouched.
-
-    thresholds may carry precomputed per-band values (e.g. from
-    select_pyramid_thresholds, so a report can log them); otherwise they
-    are selected here.
-    """
-    if thresholds is None:
-        thresholds = select_pyramid_thresholds(pyramid, policy, noise_models,
-                                               reference)
-    if len(thresholds) != len(pyramid.details):
-        raise ValueError(
-            f"need one threshold per detail band: got {len(thresholds)} "
-            f"for {len(pyramid.details)} bands")
-    details = [soft_threshold(d, t) for d, t in zip(pyramid.details, thresholds)]
-    return WaveletPyramid(
-        approximation=np.asarray(pyramid.approximation, dtype=float).copy(),
-        details=details,
-        spec=pyramid.spec,
-        original_length=pyramid.original_length,
-    )

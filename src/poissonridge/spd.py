@@ -20,6 +20,7 @@ The pmf functions take their Poisson pmf and tail cut from ``_dists``
 numpy only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,15 +205,9 @@ def _exact_coeff_pmf(atom, intensities, tail):
         groups[key] = groups.get(key, 0.0) + float(l)
     if not groups:
         return {0.0: 1.0}
-    cuts = []
-    for p, l in groups.items():
-        hi = int(poisson_isf(tail, l)) + 1
-        cuts.append((p, l, hi))
-    budget = 1
-    for _, _, hi in cuts:
-        budget *= hi + 1
-        if budget > 5_000_000:
-            return None
+    cuts = [(p, l, int(poisson_isf(tail, l)) + 1) for p, l in groups.items()]
+    if math.prod(hi + 1 for _, _, hi in cuts) > 5_000_000:
+        return None
     dist = {0.0: 1.0}
     for p, l, hi in cuts:
         counts = np.arange(hi + 1)
@@ -257,26 +252,18 @@ def wavelet_coeff_dist(atom, intensities, variant="difference", tail=1e-12):
     -------
     (SpdParams, float or None)
         The matched parameters and the total-variation distance between
-        the modeled pmf and the exact coefficient pmf (enumerated by
-        pooling equal-weight coordinates). quality is None when exact
-        enumeration is infeasible for the atom.
+        the modeled pmf and the exact coefficient pmf, both enumerated by
+        pooling equal-weight coordinates (the model's two coordinates
+        are its scaled sign-class counts). quality is None when either
+        enumeration is infeasible.
     """
+    _check_variant(variant)
     params = moment_match(atom, intensities)
     exact = _exact_coeff_pmf(atom, intensities, tail)
-    if exact is None:
+    # the model is itself a weighted sum of two Poisson counts
+    model = _exact_coeff_pmf(
+        [params.alpha_plus, _sign(variant) * params.alpha_minus],
+        [params.lambda_plus, params.lambda_minus], tail)
+    if exact is None or model is None:
         return params, None
-    # modeled pmf on its own lattice
-    sign = _sign(variant)
-    p_pmf = _side_pmf(params.lambda_plus)
-    m_pmf = _side_pmf(params.lambda_minus)
-    model = {}
-    for p, prob_p in enumerate(p_pmf):
-        if prob_p < tail:
-            continue
-        for m, prob_m in enumerate(m_pmf):
-            joint = prob_p * prob_m
-            if joint < tail * tail:
-                continue
-            key = round(params.alpha_plus * p + sign * params.alpha_minus * m, 9)
-            model[key] = model.get(key, 0.0) + joint
     return params, float(_tv_between(exact, model))

@@ -172,6 +172,25 @@ def test_settings_that_can_never_run_are_rejected_at_parse(lines):
         parse_config("\n".join(lines) + "\n")
 
 
+def test_intermediate_state_that_cannot_run_is_not_an_error():
+    cfg = parse_config("phantom.size = 1\nphantom.kind = synthetic-sinogram\n"
+                       "phantom.size = 64\n")
+    assert (cfg.phantom.kind, cfg.phantom.size) == ("synthetic-sinogram", 64)
+
+
+def test_error_names_first_line_since_component_last_built():
+    with pytest.raises(ConfigError,
+                       match=r"^line 1: phantom\.background_intensity: "):
+        parse_config("phantom.background_intensity = nan\nphantom.size = 32\n")
+
+
+def test_out_of_bounds_structure_rejected_at_parse():
+    with pytest.raises(ConfigError, match=r"^line 2: phantom\.structures: "
+                                          r"structure 0 \(disk\) extends outside"):
+        parse_config("phantom.kind = inhomogeneous\n"
+                     "phantom.structures = disk:0.95,0.5,0.2\n")
+
+
 @pytest.mark.parametrize("kwargs", [
     {"samples": 99}, {"seed": -1}, {"entry": "both"}])
 def test_run_config_validates_itself(kwargs):

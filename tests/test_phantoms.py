@@ -41,10 +41,9 @@ def test_inhomogeneous_bar_covers_expected_rows():
 
 
 def test_out_of_bounds_structure_names_index():
-    spec = PhantomSpec(kind="inhomogeneous", size=64,
-                       structures=[Disk(0.5, 0.5, 0.1), Disk(0.95, 0.5, 0.2)])
     with pytest.raises(ValueError, match="1"):
-        make_phantom(spec)
+        PhantomSpec(kind="inhomogeneous", size=64,
+                    structures=[Disk(0.5, 0.5, 0.1), Disk(0.95, 0.5, 0.2)])
 
 
 def test_unknown_kind_rejected():
@@ -60,6 +59,8 @@ def test_unknown_kind_rejected():
     {"size": 0},
     {"kind": "synthetic-sinogram", "size": 1},
     {"kind": "mystery"},
+    {"kind": "inhomogeneous", "structures": (Bar(0.9, 0.1, 0.2, 0.1),)},
+    {"kind": "inhomogeneous", "structures": ("blob",)},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_spec_that_can_never_be_built_is_rejected_on_construction(kwargs):
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,7 +9,7 @@ from poissonridge.radon import (Sinogram, TransformConfig, _angle_array,
                                 _angle_orbits, _area_taps, _column_length,
                                 _drt_single_quadrant, _oriented_views,
                                 _rotation_radius, drt_gdb, drt_rotation,
-                                fbp_invert, gdb_lines, propagate_intensity)
+                                fbp_invert, propagate_intensity)
 
 
 def _trapezoid_cdf(u, a, b):
@@ -25,11 +27,61 @@ def _trapezoid_cdf(u, a, b):
     return out
 
 
+# --- recursive line family ------------------------------------------------
+# The digital lines D_n(h, s), built point by point: the reference
+# definition that drt_gdb's recursion is checked against.
+
+@dataclass(frozen=True)
+class DiscreteLine:
+    """A discrete line D_n(h, s): n points, one per column."""
+
+    n: int
+    intercept: int
+    slope: int
+    points: tuple
+
+
+_offset_cache = {}
+
+
+def _gdb_offsets(n, s):
+    """Row offsets (relative to the intercept) of D_n(0, s), memoized."""
+    key = (n, s)
+    cached = _offset_cache.get(key)
+    if cached is not None:
+        return cached
+    if n == 1:
+        out = np.zeros(1, dtype=np.int64)
+    else:
+        half = _gdb_offsets(n // 2, s // 2)
+        # joining shift: s//2 for even target slope, s//2 + 1 for odd
+        out = np.concatenate([half, half + (s - s // 2)])
+    _offset_cache[key] = out
+    return out
+
+
+def _check_pow2(n):
+    if n < 1 or (n & (n - 1)) != 0:
+        raise ValueError(f"grid edge must be a power of two, got {n}")
+
+
+def gdb_lines(n, h, s):
+    """The discrete line D_n(h, s) joining (0, h) to (n-1, h+s).
+
+    n is a power of two and s in 0..n-1; h may place the line partly or
+    fully outside the grid, where sums over it treat points as 0.
+    """
+    _check_pow2(n)
+    if not 0 <= s <= n - 1:
+        raise ValueError(f"slope must be in 0..{n - 1}, got {s}")
+    offs = _gdb_offsets(n, s)
+    pts = tuple((i, int(h + offs[i])) for i in range(n))
+    return DiscreteLine(n=n, intercept=int(h), slope=int(s), points=pts)
+
+
 def line_offsets(n, s):
     return np.array([p[1] for p in gdb_lines(n, 0, s).points])
 
-
-# --- recursive line family ------------------------------------------------
 
 def test_line_offsets_frozen_small_cases():
     # hand recursion: offsets(1,0)=[0]; offsets(n,s) concatenates
@@ -198,13 +250,13 @@ def test_derived_geometry_matches_the_stored_formulas(shape, stack):
 def test_sinogram_offsets_and_gdb_column():
     img = np.ones((4, 4))
     sino = drt_gdb(img)
-    assert sino.offsets.tolist() == list(range(-3, 4))
-    col = sino.gdb_column(2, 1)
+    offsets = sino.offset_min + np.arange(sino.data.shape[0])
+    assert offsets.tolist() == list(range(-3, 4))
+    # (quadrant, slope) is column (q - 1) * n + s; quadrant 2 sums X_{j,i}
+    n = sino.gdb_size
+    col = sino.data[:, (2 - 1) * n + 1]
     assert np.allclose(col, sino.data[:, 4 + 1])
-    with pytest.raises(ValueError):
-        sino.gdb_column(5, 0)
-    with pytest.raises(ValueError):
-        sino.gdb_column(1, 4)
+    assert np.array_equal(col, brute_quadrant(img.T, n)[:, 1])
 
 
 # --- rotation transform ----------------------------------------------------
@@ -531,10 +583,11 @@ def per_angle_fbp(sino):
     h, w = sino.image_shape
     jj, ii = np.mgrid[0:h, 0:w]
     xg, yg = ii - (w - 1) / 2.0, jj - (h - 1) / 2.0
+    offsets = (sino.offset_min + np.arange(nr)).astype(float)
     rec = np.zeros((h, w))
     for k, t in enumerate(sino.angles):
         r = xg * np.cos(t) + yg * np.sin(t)
-        rec += np.interp(r, sino.offsets.astype(float), filtered[:, k],
+        rec += np.interp(r, offsets, filtered[:, k],
                          left=0.0, right=0.0)
     return rec * np.pi / (2 * nth)
 

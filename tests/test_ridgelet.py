@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from poissonridge.radon import (TransformConfig, drt_gdb, drt_rotation,
                                 fbp_invert)
 from poissonridge.ridgelet import (DenoiseConfig, denoise, denoise_full,
                                    ridgelet_forward, ridgelet_inverse)
-from poissonridge.shrinkage import ThresholdPolicy
-from poissonridge.wavelet import WaveletSpec, dwt_inverse
+from poissonridge.shrinkage import ThresholdPolicy, soft_threshold
+from poissonridge.wavelet import WaveletSpec, dwt_forward, dwt_inverse
 
 
 def smooth_phantom(n, radius_frac=0.30, power=6):
@@ -99,11 +101,34 @@ def test_projection_pyramid_views_columns():
                         wavelet=WaveletSpec("haar", 2, "undecimated"))
     coeffs = ridgelet_forward(img, cfg)
     direct = drt_rotation(img, angles=10, interp="linear")
+    pyr = coeffs.pyramid
     for c in (0, 4, 9):
-        one = coeffs.projection_pyramid(c)
+        one = replace(pyr, approximation=pyr.approximation[:, c],
+                      details=[d[:, c] for d in pyr.details])
         assert one.approximation.ndim == 1
         rec = dwt_inverse(one)
         assert np.allclose(rec, direct.data[:, c], atol=1e-10)
+
+
+@pytest.mark.parametrize("per_band", [True, False])
+def test_sinogram_entry_soft_thresholds_details_at_returned_taus(per_band):
+    # the estimate is the synthesis of the analysis with every detail
+    # band soft-thresholded at its reported tau, approximation unchanged
+    counts = np.random.default_rng(5).poisson(4.0, size=(32, 6))
+    wavelet = WaveletSpec("haar", 3, "undecimated")
+    cfg = DenoiseConfig(wavelet=wavelet, entry="sinogram",
+                        clamp_negative=False,
+                        policy=ThresholdPolicy(selector="fixed", fixed_scale=1.0,
+                                               per_band=per_band))
+    result = denoise_full(counts, cfg)
+    taus = result.thresholds
+    assert len(taus) == 3 and min(taus) > 0
+    assert (len(set(taus)) > 1) == per_band
+    pyr = dwt_forward(counts.astype(float), wavelet)
+    shrunk = replace(pyr, details=[soft_threshold(d, tau)
+                                   for d, tau in zip(pyr.details, taus)])
+    assert np.array_equal(result.image, dwt_inverse(shrunk))
+    assert not np.array_equal(result.image, counts)
 
 
 def test_inverse_round_trip_on_smooth_image():

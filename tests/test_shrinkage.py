@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from poissonridge.shrinkage import (BandNoiseModel, ThresholdPolicy,
                                     _grid_buckets, _sure_risks,
-                                    apply_shrinkage,
                                     estimate_band_noise,
                                     select_pyramid_thresholds,
                                     select_threshold, soft_threshold,
@@ -367,10 +366,9 @@ def test_zero_scale_and_empty_band_select_zero():
     assert select_threshold(np.array([]), noise, policy) == 0.0
 
 
-def make_pyramid(seed, levels=2, batch=None):
+def make_pyramid(seed, levels=2):
     rng = np.random.default_rng(seed)
-    shape = (32,) if batch is None else (32, batch)
-    x = rng.uniform(0, 6, size=shape)
+    x = rng.uniform(0, 6, size=32)
     return dwt_forward(x, WaveletSpec("haar", levels, "undecimated"))
 
 
@@ -405,24 +403,4 @@ def test_threshold_count_mismatch():
     pyr = make_pyramid(3)
     with pytest.raises(ValueError):
         select_pyramid_thresholds(pyr, ThresholdPolicy(), noise_for(pyr)[:1])
-    with pytest.raises(ValueError):
-        apply_shrinkage(pyr, ThresholdPolicy(), noise_for(pyr), thresholds=[1.0])
 
-
-def test_apply_shrinkage_leaves_approximation_untouched():
-    pyr = make_pyramid(4, batch=3)
-    out = apply_shrinkage(pyr, ThresholdPolicy(selector="fixed", fixed_scale=1.0),
-                          noise_for(pyr))
-    assert np.array_equal(out.approximation, pyr.approximation)
-    assert out.approximation is not pyr.approximation
-    for shrunk, raw in zip(out.details, pyr.details):
-        assert np.allclose(shrunk, soft_threshold(raw, 1.0))
-    assert out.spec == pyr.spec and out.original_length == pyr.original_length
-
-
-def test_apply_shrinkage_honors_explicit_thresholds():
-    pyr = make_pyramid(5)
-    out = apply_shrinkage(pyr, ThresholdPolicy(), noise_for(pyr),
-                          thresholds=[0.7, 0.0])
-    assert np.allclose(out.details[0], soft_threshold(pyr.details[0], 0.7))
-    assert np.array_equal(out.details[1], pyr.details[1])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from poissonridge.spd import (SpdParams, moment_match, spd_mean_var, spd_pmf,
-                              spd_sample, wavelet_coeff_dist)
+from poissonridge.spd import (SpdParams, _exact_coeff_pmf, _tv_between,
+                              moment_match, spd_mean_var, spd_pmf, spd_sample,
+                              wavelet_coeff_dist)
 from poissonridge.wavelet import WaveletSpec, wavelet_atom
 
 RT2 = np.sqrt(2.0)
@@ -102,6 +103,8 @@ def test_pmf_validation():
         spd_pmf(params, 0.0, tol=0.0)
     with pytest.raises(ValueError):
         spd_pmf(params, 0.0, variant="ratio")
+    with pytest.raises(ValueError):
+        wavelet_coeff_dist([1.0, -1.0], [1.0, 1.0], variant="ratio")
 
 
 def test_sampling_deterministic_and_moment_faithful():
@@ -143,6 +146,25 @@ def test_mixed_weight_atom_reports_honest_distance():
     _, tv = wavelet_coeff_dist(atom, np.full(8, 2.0))
     assert tv is not None
     assert 0.5 < tv <= 1.0
+
+
+@pytest.mark.parametrize("variant", ["difference", "sum"])
+def test_model_pmf_matches_direct_lattice_sum(variant):
+    # reference: the model's pmf summed over the (p, m) count lattice
+    atom = np.array([0.3, 0.7, -0.2])
+    lam = np.array([2.0, 1.0, 3.0])
+    params, tv = wavelet_coeff_dist(atom, lam, variant)
+    sign = -1.0 if variant == "difference" else 1.0
+    counts = np.arange(60)
+    p_pmf = stats.poisson.pmf(counts, params.lambda_plus)
+    m_pmf = stats.poisson.pmf(counts, params.lambda_minus)
+    model = {}
+    for p, prob_p in zip(counts, p_pmf):
+        for m, prob_m in zip(counts, m_pmf):
+            key = round(params.alpha_plus * p + sign * params.alpha_minus * m, 9)
+            model[key] = model.get(key, 0.0) + prob_p * prob_m
+    exact = _exact_coeff_pmf(atom, lam, 1e-12)
+    assert 0.5 < tv and tv == pytest.approx(_tv_between(exact, model), abs=1e-11)
 
 
 def test_dist_matches_direct_moment_match():
