@@ -175,7 +175,9 @@ def read_sinogram(path):
     """Read a sinogram CSV written by write_sinogram.
 
     The offset range and gdb grid edge follow from the data's row count;
-    a header whose offset_min or gdb_size disagrees raises ValueError.
+    a header whose offset_min or gdb_size disagrees raises ValueError,
+    and so does a rotation header whose angle count is not the column
+    count.
     """
     data, meta = read_csv(path)
     if meta.get("kind") != "sinogram":
@@ -187,6 +189,9 @@ def read_sinogram(path):
     if variant == "rotation":
         interp = meta["interp"]
         angles = np.array([float(t) for t in meta["angles"].split(";")])
+        if angles.size != data.shape[1]:
+            raise ValueError(
+                f"header has {angles.size} angles for {data.shape[1]} columns")
     sino = Sinogram(
         variant=variant,
         data=data,

@@ -17,6 +17,7 @@ array ``a`` that is ``a[j, i]``. Out-of-range points contribute zero.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,8 @@ def drt_gdb(img):
 
 def _angle_array(angles):
     if np.isscalar(angles):
+        if not isinstance(angles, numbers.Integral):
+            raise ValueError(f"angle count must be an integer, got {angles!r}")
         k = int(angles)
         if k < 1:
             raise ValueError(f"angle count must be >= 1, got {angles}")
@@ -180,6 +183,8 @@ def _angle_array(angles):
     arr = np.asarray(angles, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("angles must be a count or a non-empty 1-D array")
+    if not np.isfinite(arr).all():
+        raise ValueError("explicit angles must be finite")
     return arr
 
 
@@ -468,6 +473,11 @@ def fbp_invert(sino):
             f"fbp_invert takes one sinogram, got data of shape "
             f"{sino.data.shape}")
     nr, nth = sino.data.shape
+    thetas = np.asarray(sino.angles, dtype=float)
+    if thetas.shape != (nth,) or not np.isfinite(thetas).all():
+        raise ValueError(
+            f"fbp_invert needs one finite angle per column: {nth} columns, "
+            f"angles of shape {thetas.shape}")
     h, w = sino.image_shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     radius = -sino.offset_min
@@ -485,7 +495,7 @@ def fbp_invert(sino):
     filtered = np.real(np.fft.ifft(np.fft.fft(padded, axis=0) * ramp[:, None],
                                    axis=0))[:nr].T.copy()
     slope = np.diff(filtered, axis=1)
-    orbits = _angle_orbits(sino.angles, h, w)
+    orbits = _angle_orbits(thetas, h, w)
     ys = np.arange(h) - cy
     xs = np.arange(w) - cx
     r = np.empty((h, w))

@@ -1,16 +1,18 @@
 """1-D orthonormal wavelet transforms on periodic signals.
 
 Both a decimated pyramid and an undecimated (holes/a-trous) transform are
-provided, for any named finite orthonormal filter pair. Signals may carry
-a trailing batch axis: shape (n,) or (n, m) with columns transformed
-independently.
+provided, for any named finite orthonormal filter pair, by one a-trous
+kernel pair; an analysis atom is the transpose of a coefficient
+indicator. Signals may carry a trailing batch axis: shape (n,) or
+(n, m) with columns transformed independently.
 
 The filter registry stores lowpass taps; the highpass is the quadrature
 mirror hi[k] = (-1)^k lo[L-1-k], which for Haar gives the
 first-minus-second convention: detail = (x[2k] - x[2k+1]) / sqrt(2).
 """
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,6 +61,8 @@ class WaveletSpec:
     def __post_init__(self):
         if self.mode not in ("decimated", "undecimated"):
             raise ValueError(f"unknown wavelet mode {self.mode!r}")
+        if not isinstance(self.levels, numbers.Integral):
+            raise ValueError(f"levels must be an integer, got {self.levels!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
         lo, _ = _filter_pair(self.filter)
@@ -95,28 +99,12 @@ def _as_signal(x):
     return arr
 
 
-def _dec_analysis(x, taps):
-    n = x.shape[0]
-    half = np.arange(n // 2)
-    out = np.zeros((n // 2,) + x.shape[1:])
-    for m, c in enumerate(taps):
-        out += c * x[(2 * half + m) % n]
-    return out
-
-
-def _dec_synthesis(a, d, lo, hi):
-    n = 2 * a.shape[0]
-    half = np.arange(n // 2)
-    x = np.zeros((n,) + a.shape[1:])
-    for m in range(len(lo)):
-        np.add.at(x, (2 * half + m) % n, lo[m] * a + hi[m] * d)
-    return x
-
-
-# The undecimated kernels add each tap as two slice adds, the periodic
-# shift s split at the wrap, so no shifted copy of the signal is made.
-# Every output sample still takes its terms in tap order, starting from
-# zero, so the sums are bit-identical to adding np.roll copies.
+# One kernel pair serves both modes: undecimated level j uses holes
+# 2**(j-1); a decimated level keeps every second hole-1 output and
+# inverts as the hole-1 transpose of its zero-upsampled bands (Shensa
+# 1992). Each tap is two slice adds, the periodic shift split at the
+# wrap, and every output takes its terms in tap order from zero, so the
+# sums are bit-identical to np.roll copies and to strided decimated sums.
 
 def _undec_analysis(x, taps, hole):
     """out[i] = sum_m taps[m] * x[(i + m * hole) % n]."""
@@ -142,6 +130,13 @@ def _undec_adjoint(a, d, lo, hi, hole):
             x[s:] += c * y[:n - s]
             x[:s] += c * y[n - s:]
     return x
+
+
+def _upsample(band):
+    """band[k] at index 2k of a zero band twice as long."""
+    up = np.zeros((2 * band.shape[0],) + band.shape[1:])
+    up[::2] = band
+    return up
 
 
 def _check_decimated_length(n, spec, taps):
@@ -186,16 +181,13 @@ def _analysis_cascade(x, spec):
     lo, hi = _filter_pair(spec.filter)
     n = arr.shape[0]
     _check_length(n, spec)
+    step = 2 if spec.mode == "decimated" else 1
     details, approxes = [], []
     a = arr
     for level in range(1, spec.levels + 1):
-        if spec.mode == "decimated":
-            details.append(_dec_analysis(a, hi))
-            a = _dec_analysis(a, lo)
-        else:
-            hole = 2 ** (level - 1)
-            details.append(_undec_analysis(a, hi, hole))
-            a = _undec_analysis(a, lo, hole)
+        hole = 1 if step == 2 else 2 ** (level - 1)
+        details.append(_undec_analysis(a, hi, hole)[::step])
+        a = _undec_analysis(a, lo, hole)[::step]
         approxes.append(a)
     return WaveletPyramid(a, details, spec, n), approxes
 
@@ -219,20 +211,20 @@ def dwt_forward(x, spec):
 def dwt_inverse(pyr):
     """Reconstruct the signal from a pyramid.
 
-    Decimated synthesis is the orthogonal transpose; undecimated
-    synthesis averages the two redundant reconstructions at each level
-    (adjoint halved), which inverts the analysis exactly for any length.
+    Decimated synthesis is the orthogonal transpose, run on zero-upsampled
+    bands; undecimated synthesis averages the two redundant
+    reconstructions at each level (adjoint halved), which inverts the
+    analysis exactly for any length.
     """
     spec = pyr.spec
     lo, hi = _filter_pair(spec.filter)
     a = np.asarray(pyr.approximation, dtype=float)
-    if spec.mode == "decimated":
-        for d in reversed(pyr.details):
-            a = _dec_synthesis(a, np.asarray(d, dtype=float), lo, hi)
-    else:
-        for level, d in zip(range(spec.levels, 0, -1), reversed(pyr.details)):
-            hole = 2 ** (level - 1)
-            a = 0.5 * _undec_adjoint(a, np.asarray(d, dtype=float), lo, hi, hole)
+    for level, d in zip(range(spec.levels, 0, -1), reversed(pyr.details)):
+        d = np.asarray(d, dtype=float)
+        if spec.mode == "decimated":
+            a = _undec_adjoint(_upsample(a), _upsample(d), lo, hi, 1)
+        else:
+            a = 0.5 * _undec_adjoint(a, d, lo, hi, 2 ** (level - 1))
     if a.shape[0] != pyr.original_length:
         raise ValueError(
             f"pyramid reconstructs to length {a.shape[0]}, "
@@ -255,10 +247,6 @@ def lowpass_gain(spec, level):
     return float(lo.sum() ** level)
 
 
-def _band_length(spec, level, n):
-    return n // (2 ** level) if spec.mode == "decimated" else n
-
-
 def wavelet_atom(spec, level, k, n, band="detail"):
     """Analysis vector of one coefficient: coeff = <atom, signal>.
 
@@ -276,30 +264,21 @@ def wavelet_atom(spec, level, k, n, band="detail"):
 
     Notes
     -----
-    The atom is the analysis operator's adjoint applied to a coefficient
-    indicator. In decimated mode that adjoint is the orthogonal inverse;
-    in undecimated mode it is the unhalved transpose, which is what makes
-    the inner-product identity hold there too.
+    The atom is the analysis transpose applied to a coefficient
+    indicator: dwt_inverse of a level-deep zero pyramid holding one 1.
+    Undecimated dwt_inverse halves each level, so there the atom is
+    scaled back by 2**level, which makes the inner-product identity hold.
     """
     if band not in ("detail", "approximation"):
         raise ValueError(f"unknown band {band!r}")
     if not 1 <= level <= spec.levels:
         raise ValueError(f"level must be in 1..{spec.levels}, got {level}")
-    lo, hi = _filter_pair(spec.filter)
     _check_length(n, spec)
-    nb = _band_length(spec, level, n)
-    if not 0 <= k < nb:
-        raise ValueError(f"position must be in 0..{nb - 1}, got {k}")
-    vec = np.zeros(nb)
-    vec[k] = 1.0
-    for depth in range(level, 0, -1):
-        length = _band_length(spec, depth - 1, n)
-        zeros = np.zeros(length if spec.mode == "undecimated" else vec.shape[0])
-        use_detail = depth == level and band == "detail"
-        a_in = zeros if use_detail else vec
-        d_in = vec if use_detail else zeros
-        if spec.mode == "decimated":
-            vec = _dec_synthesis(a_in, d_in, lo, hi)
-        else:
-            vec = _undec_adjoint(a_in, d_in, lo, hi, 2 ** (depth - 1))
-    return vec
+    pyr = dwt_forward(np.zeros(n), replace(spec, levels=level))
+    coeffs = pyr.details[-1] if band == "detail" else pyr.approximation
+    if not 0 <= k < coeffs.shape[0]:
+        raise ValueError(
+            f"position must be in 0..{coeffs.shape[0] - 1}, got {k}")
+    coeffs[k] = 1.0
+    atom = dwt_inverse(pyr)
+    return atom * 2.0 ** level if spec.mode == "undecimated" else atom

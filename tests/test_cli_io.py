@@ -318,6 +318,19 @@ def test_read_sinogram_rejects_header_geometry_off_the_data(tmp_path, line,
         read_sinogram(p)
 
 
+def test_read_sinogram_rejects_angle_count_off_the_columns(tmp_path):
+    p = tmp_path / "rot.csv"
+    rot = drt_rotation(np.ones((8, 8)), angles=4, interp="area")
+    write_sinogram(p, rot)
+    text = p.read_text()
+    full = "# angles = " + ";".join(f"{v:.17g}" for v in rot.angles) + "\n"
+    assert full in text
+    cut = "# angles = " + ";".join(f"{v:.17g}" for v in rot.angles[:2]) + "\n"
+    p.write_text(text.replace(full, cut))
+    with pytest.raises(ValueError, match="2 angles for 4 columns"):
+        read_sinogram(p)
+
+
 # --- svg scatter ----------------------------------------------------------
 
 def test_scatter_svg_marks_every_point(tmp_path):

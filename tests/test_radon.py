@@ -663,6 +663,24 @@ def test_transform_config_rejects_bad_angles(angles):
         TransformConfig(variant="rotation", angles=angles)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, np.float64(4.0)])
+def test_non_integer_angle_count_is_rejected(count):
+    # int(count) would silently drop the fraction
+    with pytest.raises(ValueError, match="angle count must be an integer"):
+        TransformConfig(variant="rotation", angles=count)
+    with pytest.raises(ValueError, match="angle count must be an integer"):
+        drt_rotation(np.ones((6, 6)), angles=count)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_explicit_angles_are_rejected(bad):
+    angles = np.array([0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="angles must be finite"):
+        TransformConfig(variant="rotation", angles=angles)
+    with pytest.raises(ValueError, match="angles must be finite"):
+        drt_rotation(np.ones((6, 6)), angles=angles)
+
+
 # --- filtered backprojection -----------------------------------------------
 
 def smooth_phantom(n, radius_frac=0.30, power=6):
@@ -691,4 +709,15 @@ def test_fbp_rejects_gdb_variant():
 def test_fbp_rejects_a_stack():
     sino = drt_rotation(np.ones((8, 8, 2)), angles=6, interp="area")
     with pytest.raises(ValueError, match=r"\(15, 6, 2\)"):
+        fbp_invert(sino)
+
+
+@pytest.mark.parametrize("angles", [None, np.arange(2.0), np.arange(5.0),
+                                    np.array([0.0, 0.5, np.nan, 1.5])])
+def test_fbp_needs_one_finite_angle_per_column(angles):
+    # fewer angles than columns would back-project only some columns and
+    # still scale for all of them
+    sino = drt_rotation(np.ones((8, 8)), angles=4, interp="area")
+    sino.angles = angles
+    with pytest.raises(ValueError, match="one finite angle per column"):
         fbp_invert(sino)

@@ -24,6 +24,13 @@ def test_spec_validation():
     WaveletSpec(filter="db2")
 
 
+@pytest.mark.parametrize("levels", [2.0, 2.5, np.float64(1.0), np.nan])
+def test_non_integer_levels_are_rejected(levels):
+    # rejected when the spec is built, not as a TypeError in the cascade
+    with pytest.raises(ValueError, match="levels must be an integer"):
+        WaveletSpec("haar", levels)
+
+
 def test_haar_decimated_one_level_frozen():
     x = np.array([4.0, 2.0, 5.0, 5.0])
     pyr = dwt_forward(x, WaveletSpec("haar", 1, "decimated"))
@@ -271,3 +278,78 @@ def test_undecimated_transforms_match_roll_reference(monkeypatch, filt, n,
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
+
+
+# Independent references for the a-trous path: strided decimated kernels
+# and the unhalved transpose walked level by level for atoms.
+
+def strided_analysis(x, taps):
+    """out[k] = sum_m taps[m] * x[(2k + m) % n]."""
+    n = x.shape[0]
+    half = np.arange(n // 2)
+    out = np.zeros((n // 2,) + x.shape[1:])
+    for m, c in enumerate(taps):
+        out += c * x[(2 * half + m) % n]
+    return out
+
+
+def add_at_synthesis(a, d, lo, hi):
+    """The transpose of strided_analysis on the pair (a, d)."""
+    n = 2 * a.shape[0]
+    half = np.arange(n // 2)
+    x = np.zeros((n,) + a.shape[1:])
+    for m in range(len(lo)):
+        np.add.at(x, (2 * half + m) % n, lo[m] * a + hi[m] * d)
+    return x
+
+
+def adjoint_walk_atom(spec, level, k, n, band):
+    """The unhalved transpose walked down from a coefficient indicator."""
+    lo, hi = _filter_pair(spec.filter)
+    decimated = spec.mode == "decimated"
+    vec = np.zeros(n // 2 ** level if decimated else n)
+    vec[k] = 1.0
+    for depth in range(level, 0, -1):
+        zeros = np.zeros_like(vec)
+        top_detail = depth == level and band == "detail"
+        a_in, d_in = (zeros, vec) if top_detail else (vec, zeros)
+        if decimated:
+            vec = add_at_synthesis(a_in, d_in, lo, hi)
+        else:
+            vec = roll_adjoint(a_in, d_in, lo, hi, 2 ** (depth - 1))
+    return vec
+
+
+DECIMATED_CASES = [(filt, levels, batch) for filt in ("haar", "db2")
+                   for levels in (1, 2, 3) for batch in (None, 3)]
+
+
+@pytest.mark.parametrize("filt, levels, batch", DECIMATED_CASES)
+def test_decimated_transforms_match_strided_reference(filt, levels, batch):
+    rng = np.random.default_rng(200 + levels)
+    x = rng.uniform(0, 5, size=(32,) if batch is None else (32, batch))
+    lo, hi = _filter_pair(filt)
+    pyr = dwt_forward(x, WaveletSpec(filt, levels, "decimated"))
+    a = x
+    for d in pyr.details:
+        assert np.array_equal(d, strided_analysis(a, hi))
+        a = strided_analysis(a, lo)
+    assert np.array_equal(pyr.approximation, a)
+    for d in reversed(pyr.details):
+        a = add_at_synthesis(a, d, lo, hi)
+    rec = dwt_inverse(pyr)
+    assert np.max(np.abs(rec - a)) <= 1e-14 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("mode", ["decimated", "undecimated"])
+@pytest.mark.parametrize("filt", ["haar", "db2"])
+def test_atoms_match_adjoint_walk_reference(mode, filt):
+    n = 32
+    for levels in (1, 2, 3):
+        spec = WaveletSpec(filt, levels, mode)
+        for level in range(1, levels + 1):
+            for band in ("detail", "approximation"):
+                for k in range(n // 2 ** level if mode == "decimated" else n):
+                    assert np.array_equal(
+                        wavelet_atom(spec, level, k, n, band),
+                        adjoint_walk_atom(spec, level, k, n, band))
