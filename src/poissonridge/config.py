@@ -23,7 +23,7 @@ output_dir regardless of the file.
 import os
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 
-from .harness import _MIN_SAMPLES
+from .harness import _check_run_counts
 from .phantoms import Bar, Disk, PhantomSpec
 from .radon import TransformConfig
 from .ridgelet import _ENTRIES
@@ -44,8 +44,9 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything an experiment needs besides the subcommand itself.
 
-    Construction rejects an unknown entry, a negative seed and fewer
-    samples than the Monte-Carlo harness accepts.
+    Construction rejects an unknown entry, a seed or sample count that
+    is not an integer, a negative seed and fewer samples than the
+    Monte-Carlo harness accepts.
     """
 
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
@@ -61,11 +62,7 @@ class RunConfig:
         if self.entry not in _ENTRIES:
             raise ValueError(
                 f"unknown entry mode {self.entry!r}; expected one of {_ENTRIES}")
-        if self.samples < _MIN_SAMPLES:
-            raise ValueError(
-                f"samples must be at least {_MIN_SAMPLES}, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_run_counts(self.samples, self.seed)
 
 
 def _pet_preset(cfg):

@@ -16,6 +16,7 @@ expressions, takes several times as long to load as the whole package.
 
 import heapq
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -35,8 +36,21 @@ __all__ = [
 
 LineFit = namedtuple("LineFit", ["slope", "intercept", "r_squared"])
 
-# fewest Monte-Carlo samples a run accepts; RunConfig checks it too
+# fewest Monte-Carlo samples a run accepts
 _MIN_SAMPLES = 100
+
+
+def _check_run_counts(samples, seed):
+    """ValueError unless samples >= _MIN_SAMPLES and seed >= 0 are
+    integers; RunConfig checks its fields with it too."""
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if samples < _MIN_SAMPLES:
+        raise ValueError(
+            f"samples must be at least {_MIN_SAMPLES}, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 # Samples are transformed in batches holding about this many bytes of
 # Radon data each (one sample's sinogram is rates.nbytes), which keeps
@@ -317,9 +331,9 @@ def run_distribution_experiment(spec, transform, samples, seed,
     spec : PhantomSpec
     transform : TransformConfig
     samples : int
-        Monte-Carlo sample count, at least 100.
+        Monte-Carlo sample count, an integer >= 100.
     seed : int
-        Top-level seed; sample i uses a stream derived from (seed, i).
+        Top-level seed, an integer >= 0; sample i uses the (seed, i) stream.
     wavelet : WaveletSpec, optional
         When given, per-projection pyramids are accumulated too and the
         result gains one report per detail level plus the approximation.
@@ -338,8 +352,7 @@ def run_distribution_experiment(spec, transform, samples, seed,
         Radon band first, then details finest to coarsest, then the
         approximation band.
     """
-    if samples < _MIN_SAMPLES:
-        raise ValueError(f"samples must be at least {_MIN_SAMPLES}")
+    _check_run_counts(samples, seed)
     _check_column_wavelet(wavelet)
     integer_valued = transform.variant == "gdb" or transform.interp == "nearest"
     if gof and not integer_valued:

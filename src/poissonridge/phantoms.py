@@ -6,6 +6,7 @@ signal-to-noise ratio is sqrt(rate).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,9 @@ class PhantomSpec:
     kind : str
         ``"homogeneous"``, ``"inhomogeneous"`` or ``"synthetic-sinogram"``.
     size : int
-        Square grid edge in pixels, >= 1 (for the sinogram kind, >= 2 and
-        the source head-phantom edge; the output then has the detector
-        geometry).
+        Square grid edge in pixels, an integer >= 1 (for the sinogram
+        kind, >= 2 and the source head-phantom edge; the output then has
+        the detector geometry).
     background_intensity : float
         Poisson rate of the background, finite and >= 0.
     structure_gain : float
@@ -82,6 +83,9 @@ class PhantomSpec:
         if self.kind not in _KINDS:
             raise ValueError(
                 f"unknown phantom kind {self.kind!r}; expected one of {_KINDS}")
+        if not isinstance(self.size, numbers.Integral):
+            raise ValueError(
+                f"phantom size must be an integer, got {self.size!r}")
         least = 2 if self.kind == "synthetic-sinogram" else 1
         if self.size < least:
             raise ValueError(

@@ -240,6 +240,27 @@ def _rotation_radius(h, w):
     return int(np.ceil(np.hypot((h - 1) / 2.0, (w - 1) / 2.0))) + 2
 
 
+def _orbit_rows(orbits, h, w, radius, rounding=np.floor):
+    """Yield (t, cols, row, frac) per orbit (t, cols) of _angle_orbits.
+
+    Over the h x w pixels in raster order, r = y sin t + x cos t on the
+    centred grid, row = rounding(r) + radius (np.intp) and
+    frac = r - rounding(r): the one offset geometry of drt_rotation and
+    fbp_invert. row and frac are buffers the next orbit overwrites.
+    """
+    ys = np.arange(h) - (h - 1) / 2.0
+    xs = np.arange(w) - (w - 1) / 2.0
+    r, base, frac = np.empty((3, h * w))
+    row = np.empty(h * w, dtype=np.intp)
+    for t, cols in orbits:
+        np.add.outer(ys * np.sin(t), xs * np.cos(t), out=r.reshape(h, w))
+        rounding(r, out=base)
+        np.subtract(r, base, out=frac)
+        np.copyto(row, base, casting="unsafe")
+        np.add(row, radius, out=row)
+        yield t, cols, row, frac
+
+
 def drt_rotation(img, angles=180, interp="linear"):
     """Radon transform on angle bins over [0, pi).
 
@@ -261,8 +282,8 @@ def drt_rotation(img, angles=180, interp="linear"):
         at each angle, so each projection's total equals the image total.
 
     Angles are grouped by _angle_orbits: on a square grid with a
-    uniform angle count divisible by 4, one pass of offsets, floor/frac
-    and taps serves up to four angles, each projecting a turned or
+    uniform angle count divisible by 4, one pass of _orbit_rows and of
+    taps serves up to four angles, each projecting a turned or
     mirrored view of the image (``nearest`` is never folded, because
     np.rint breaks exact half-integer ties differently on the folded
     geometry). Each orbit builds the deposit bins of all stack entries
@@ -284,35 +305,22 @@ def drt_rotation(img, angles=180, interp="linear"):
     # vals[v * n_img + e] is stack entry e seen through view v
     vals = np.concatenate([view.reshape(npix, n_img).T
                            for view in _oriented_views(arr, n_views)])
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     radius = _rotation_radius(h, w)
     nr = 2 * radius + 1
-    ys = np.arange(h) - cy
-    xs = np.arange(w) - cx
     max_taps = {"nearest": 1, "linear": 2, "area": 4}[interp]
-    # per-orbit buffers, reused: offsets r, floor(r) (or rint(r)) and
-    # r - floor(r), the first bin, tap weights, deposit bins and weights
-    ysin, xcos = np.empty(h), np.empty(w)
-    r = np.empty((h, w))
-    flat_r = r.reshape(-1)
-    base, frac = np.empty(npix), np.empty(npix)
-    first = np.empty(npix, dtype=np.intp)
+    # per-orbit buffers, reused: tap weights, deposit bins and weights
     taps = np.ones((max_taps, npix))             # nearest keeps tap 1.0
     u, clip = np.empty(npix), np.empty(npix)
     bin_buf = np.empty(n_img * max_taps * npix, dtype=np.intp)
     weight_buf = np.empty(len(vals) * max_taps * npix)
     entry_offsets = (np.arange(1, n_img) * nr)[:, None, None]
     out = np.empty((nr, len(thetas), n_img))
-    for t, cols in orbits:
-        ct, st = np.cos(t), np.sin(t)
-        np.add.outer(np.multiply(ys, st, out=ysin),
-                     np.multiply(xs, ct, out=xcos), out=r)
+    rounding = np.rint if interp == "nearest" else np.floor
+    for t, cols, row, frac in _orbit_rows(orbits, h, w, radius, rounding):
         if interp == "nearest":
-            np.rint(flat_r, out=base)
             n_taps, lead = 1, 0
         else:
-            np.floor(flat_r, out=base)
-            np.subtract(flat_r, base, out=frac)
+            ct, st = np.cos(t), np.sin(t)
             a, b = max(abs(ct), abs(st)), min(abs(ct), abs(st))
             if interp == "linear" or b < 1e-12:
                 # an axis-aligned area footprint is box(1), which overlaps
@@ -323,13 +331,11 @@ def drt_rotation(img, angles=180, interp="linear"):
             else:
                 _area_taps(frac, a, b, taps, u, clip)
                 n_taps, lead = 4, -1
-        # entry e, tap m, pixel p deposits into bin e*nr + first[p] + m;
+        # entry e, tap m, pixel p deposits into bin e*nr + row[p] + lead + m;
         # every view of the orbit deposits into these bins
         size = n_img * n_taps * npix
         bins = bin_buf[:size].reshape(n_img, n_taps, npix)
-        np.copyto(first, base, casting="unsafe")
-        np.add(first, radius + lead, out=first)
-        np.add(first, np.arange(n_taps)[:, None], out=bins[0])
+        np.add(row, np.arange(lead, lead + n_taps)[:, None], out=bins[0])
         np.add(bins[0], entry_offsets, out=bins[1:])
         flat_bins = bins.reshape(-1)
         # row v of weights is view v's (entry, tap, pixel) weights, all
@@ -460,10 +466,10 @@ def fbp_invert(sino):
     reconstruction: the ramp filter's negative lobes are kept, and
     clipping them is left to the caller (denoise's clamp_negative).
 
-    Angles are grouped by _angle_orbits as in drt_rotation: one
-    floor/frac pass per orbit reads every member's filtered column and
-    its bin-to-bin slope at the same bins, into one image per view,
-    and the views are turned back and summed at the end.
+    Angles are walked as in drt_rotation: one _orbit_rows pass per
+    orbit reads every member's filtered column and its bin-to-bin slope
+    at the same rows, into one image per view, and the views are turned
+    back and summed at the end.
     """
     if sino.variant != "rotation":
         raise ValueError(
@@ -495,28 +501,18 @@ def fbp_invert(sino):
     filtered = np.real(np.fft.ifft(np.fft.fft(padded, axis=0) * ramp[:, None],
                                    axis=0))[:nr].T.copy()
     slope = np.diff(filtered, axis=1)
+    gather, value = np.empty(h * w), np.empty(h * w)
     orbits = _angle_orbits(thetas, h, w)
-    ys = np.arange(h) - cy
-    xs = np.arange(w) - cx
-    r = np.empty((h, w))
-    base, frac = np.empty((h, w)), np.empty((h, w))
-    idx = np.empty((h, w), dtype=np.intp)
-    gather, value = np.empty((h, w)), np.empty((h, w))
-    acc = np.zeros((max(len(cols) for _, cols in orbits), h, w))
-    for t, cols in orbits:
-        np.add.outer(ys * np.sin(t), xs * np.cos(t), out=r)
-        np.floor(r, out=base)
-        np.subtract(r, base, out=frac)
-        np.copyto(idx, base, casting="unsafe")
-        np.add(idx, radius, out=idx)
-        # np.interp's slope * (r - offset) + value; idx is in range, so
+    acc = np.zeros((max(len(cols) for _, cols in orbits), h * w))
+    for _, cols, row, frac in _orbit_rows(orbits, h, w, radius):
+        # np.interp's slope * (r - offset) + value; row is in range, so
         # mode="clip" only spares np.take its buffered bounds check
         for view, col in zip(acc, cols):
-            np.take(slope[col], idx, out=gather, mode="clip")
+            np.take(slope[col], row, out=gather, mode="clip")
             np.multiply(gather, frac, out=gather)
-            np.take(filtered[col], idx, out=value, mode="clip")
+            np.take(filtered[col], row, out=value, mode="clip")
             np.add(gather, value, out=gather)
             view += gather
-    rec = _sum_unturned(acc)
+    rec = _sum_unturned(acc.reshape(-1, h, w))
     rec *= np.pi / (2 * nth)
     return rec

@@ -29,8 +29,8 @@ __all__ = [
 
 
 def soft_threshold(w, tau):
-    """Shrink toward zero: sign(w) * max(|w| - tau, 0)."""
-    if tau < 0:
+    """Shrink toward zero: sign(w) * max(|w| - tau, 0); tau >= 0, not NaN."""
+    if not tau >= 0:
         raise ValueError(f"threshold must be >= 0, got {tau}")
     w = np.asarray(w, dtype=float)
     return np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
@@ -112,8 +112,13 @@ def estimate_band_noise(band, approx, spec, level):
             f"band and approximation must be co-located, got shapes "
             f"{band.shape} and {approx.shape}")
     variances = np.clip(approx, 0.0, None) / lowpass_gain(spec, level)
+    return BandNoiseModel(variances=variances, scale=_median_scale(variances))
+
+
+def _median_scale(variances):
+    """sqrt of the median variance (0 for no variances): the grid unit."""
     med = float(np.median(variances)) if variances.size else 0.0
-    return BandNoiseModel(variances=variances, scale=float(np.sqrt(max(med, 0.0))))
+    return float(np.sqrt(max(med, 0.0)))
 
 
 def threshold_grid(policy, scale):
@@ -141,10 +146,13 @@ def select_threshold(band, noise, policy, reference=None):
     a rounding-level slack of their minimum are re-evaluated with the
     direct sum of (soft(w, tau) - reference)^2, which picks the tau.
 
-    Raises ValueError if the band, the variances (sure) or the
-    reference (oracle-erm) hold NaN or +-inf, or if the latter two do
-    not match the band's size.
+    Raises ValueError if the noise scale is not finite and >= 0, if the
+    band, the variances (sure) or the reference (oracle-erm) hold NaN or
+    +-inf, or if the latter two do not match the band's size.
     """
+    if not (math.isfinite(noise.scale) and noise.scale >= 0):
+        raise ValueError(
+            f"noise scale must be finite and >= 0, got {noise.scale}")
     w = _finite_values(band, "band")
     if w.size == 0:
         return 0.0
@@ -263,8 +271,7 @@ def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):
     w = np.concatenate([np.asarray(d, dtype=float).ravel() for d in details])
     v = np.concatenate([np.asarray(nm.variances, dtype=float).ravel()
                         for nm in noise_models])
-    med = float(np.median(v)) if v.size else 0.0
-    pooled_noise = BandNoiseModel(variances=v, scale=float(np.sqrt(max(med, 0.0))))
+    pooled_noise = BandNoiseModel(variances=v, scale=_median_scale(v))
     pooled_ref = None
     if reference is not None:
         pooled_ref = np.concatenate(

@@ -192,7 +192,8 @@ def test_out_of_bounds_structure_rejected_at_parse():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"samples": 99}, {"seed": -1}, {"entry": "both"}])
+    {"samples": 99}, {"seed": -1}, {"entry": "both"},
+    {"samples": 150.5}, {"seed": 1.5}])
 def test_run_config_validates_itself(kwargs):
     with pytest.raises(ValueError):
         RunConfig(**kwargs)

@@ -138,6 +138,14 @@ def test_rotation_nearest_is_poisson_too():
 def test_validation_errors():
     with pytest.raises(ValueError, match="at least 100"):
         run_distribution_experiment(SPEC, TransformConfig("gdb"), 50, 0)
+    # a float count used to reach range() (TypeError) or be truncated
+    # by the seed derivation
+    for samples, seed, message in [(100.5, 0, "samples must be an integer"),
+                                   (100, 1.5, "seed must be an integer"),
+                                   (100, -1, "seed must be >= 0")]:
+        with pytest.raises(ValueError, match=message):
+            run_distribution_experiment(SPEC, TransformConfig("gdb"), samples,
+                                        seed)
     # linear interpolation spreads mass, coefficients are not integers
     cfg = TransformConfig("rotation", angles=12, interp="linear")
     with pytest.raises(ValueError, match="integer"):

@@ -58,6 +58,8 @@ def test_unknown_kind_rejected():
     {"peak_factor": 0.0},
     {"size": 0},
     {"kind": "synthetic-sinogram", "size": 1},
+    {"kind": "synthetic-sinogram", "size": 16.7},
+    {"size": 8.5},
     {"kind": "mystery"},
     {"kind": "inhomogeneous", "structures": (Bar(0.9, 0.1, 0.2, 0.1),)},
     {"kind": "inhomogeneous", "structures": ("blob",)},

@@ -21,6 +21,9 @@ def test_soft_threshold_hand_values():
     assert np.allclose(soft_threshold(np.array([4.0, -4.0]), 0.0), [4.0, -4.0])
     with pytest.raises(ValueError):
         soft_threshold(1.0, -0.5)
+    # NaN is not >= 0 either; it used to shrink everything to NaN
+    with pytest.raises(ValueError):
+        soft_threshold(1.0, float("nan"))
 
 
 @given(st.floats(-1e6, 1e6), st.floats(0, 1e6))
@@ -100,6 +103,19 @@ def test_policy_rejects_bad_values_at_entry(field, bad, message):
     # (grid_points 2.5)
     with pytest.raises(ValueError, match=message):
         ThresholdPolicy(**{field: bad})
+
+
+@pytest.mark.parametrize("selector", ["fixed", "sure", "oracle-erm"])
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+def test_select_threshold_rejects_bad_noise_scale(selector, scale):
+    # NaN used to fail in the grid buckets (IndexError), +inf to return
+    # tau = inf (fixed) or warn (sure), and -1 to return 0.0 silently
+    noise = BandNoiseModel(variances=np.ones(4), scale=scale)
+    policy = ThresholdPolicy(selector=selector)
+    with pytest.raises(ValueError, match="noise scale must be finite"):
+        select_threshold(np.ones(4), noise, policy, reference=np.ones(4))
+    with pytest.raises(ValueError, match="noise scale must be finite"):
+        select_threshold(np.ones(0), noise, policy)
 
 
 def test_fixed_selector_scales_band_noise():
