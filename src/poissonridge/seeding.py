@@ -7,6 +7,7 @@ streams are independent regardless of evaluation order.
 """
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -24,7 +25,13 @@ def derive_seed_sequence(seed, stage, index=0):
         Name of the pipeline stage, e.g. ``"phantom"`` or ``"mc-sample"``.
     index : int, optional
         Per-item counter inside the stage (sample number, partition id).
+
+    A seed or index that is not an integer (1.5, 2.0) raises
+    ValueError rather than being truncated onto another stream.
     """
+    for name, value in (("seed", seed), ("index", index)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     digest = hashlib.sha256(stage.encode("utf-8")).digest()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from poissonridge.phantoms import PhantomSpec, _head_phantom, make_phantom
 from poissonridge.radon import (Sinogram, TransformConfig, _angle_array,
                                 _angle_orbits, _area_taps, _column_length,
                                 _drt_single_quadrant, _oriented_views,
@@ -374,6 +375,53 @@ def test_rotation_matches_per_tap_reference(interp, shape, angles):
     assert sino.data.min() >= 0.0
 
 
+def reference_area_taps(frac, a, b):
+    """All 4 area taps of the bins floor(r) - 1 .. floor(r) + 2.
+
+    The closed form radon._area_taps evaluates, step for step, on every
+    pixel and with no end tap left out: taps[0..3] = F0, F1 - F0,
+    F2 - F1, 1 - F2 (see _area_taps for the trapezoid CDF pieces).
+    """
+    c = (a + b) / 2.0
+    d = (a - b) / 2.0
+    inv_s = 1.0 / (2.0 * a * b)
+    taps = np.empty((4, frac.size))
+    u, clip = np.empty(frac.size), np.empty(frac.size)
+    f0, f1, f2, tail = taps
+    np.subtract(c - 0.5, frac, out=f0)
+    np.maximum(f0, 0.0, out=f0)
+    np.square(f0, out=f0)
+    np.multiply(f0, inv_s, out=f0)
+    np.subtract(frac, 1.5 - c, out=tail)
+    np.maximum(tail, 0.0, out=tail)
+    np.square(tail, out=tail)
+    np.multiply(tail, inv_s, out=tail)
+    np.subtract(0.5, frac, out=u)
+    np.clip(u, -d, d, out=clip)
+    np.subtract(u, clip, out=u)
+    np.abs(u, out=f1)
+    np.subtract(2.0 * b, f1, out=f1)
+    np.multiply(f1, u, out=f1)
+    np.multiply(f1, inv_s, out=f1)
+    np.multiply(clip, 1.0 / a, out=clip)
+    np.add(clip, 0.5, out=clip)
+    np.add(f1, clip, out=f1)
+    np.subtract(1.0, f1, out=f2)
+    np.subtract(f2, tail, out=f2)
+    np.subtract(f1, f0, out=f1)
+    return taps
+
+
+def full_area_taps(frac, a, b):
+    """radon._area_taps as taps[4, npix], with its skipped end taps 0.0."""
+    n = frac.size
+    taps = np.zeros((4, n))
+    lo, f0, hi, tail = _area_taps(frac, a, b, taps[1:3], np.empty((2, n)))
+    taps[0, lo] = f0
+    taps[3, hi] = tail
+    return taps
+
+
 # just above the 1e-12 cut below which area falls back to linear taps
 NEAR_AXIS = 1.0000001e-12
 ONE_MINUS_ULP = np.nextafter(1.0, 0.0)
@@ -399,13 +447,42 @@ def test_area_taps_match_trapezoid_cdf(t, fracs, whole):
     r = whole + np.array([0.0, ONE_MINUS_ULP] + fracs)
     base = np.floor(r)
     frac = r - base
-    taps = np.empty((4, r.size))
-    _area_taps(frac, a, b, taps, np.empty(r.size), np.empty(r.size))
+    taps = full_area_taps(frac, a, b)
     ref = _trapezoid_cdf(base + np.array([[-0.5], [0.5], [1.5]]) - r, a, b)
     closed = np.array([taps[0], taps[0] + taps[1], 1.0 - taps[3]])
     assert np.abs(closed - ref).max() <= 1e-15
     assert taps.min() >= 0.0
     assert np.abs(taps.sum(axis=0) - 1.0).max() <= 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.one_of(st.floats(0.0, np.pi, exclude_max=True),
+                   st.sampled_from([np.pi / 4, 3 * np.pi / 4, NEAR_AXIS,
+                                    np.pi / 2 - NEAR_AXIS, np.pi - NEAR_AXIS])),
+       fracs=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+@example(t=np.pi / 4, fracs=[0.2071, 0.7929, 1e-300])
+def test_area_taps_skip_only_exact_zero_end_taps(t, fracs):
+    # every end tap _area_taps leaves out is exactly 0.0 in the 4-tap
+    # reference, and every tap it keeps is bit-equal to the reference's,
+    # at the cuts frac = c - 1/2 and 3/2 - c and one ulp either side too
+    a = max(abs(np.cos(t)), abs(np.sin(t)))
+    b = min(abs(np.cos(t)), abs(np.sin(t)))
+    assume(b >= 1e-12)
+    c = (a + b) / 2.0
+    cuts = [c - 0.5, 1.5 - c]
+    frac = np.array(fracs + cuts + [np.nextafter(x, side) for x in cuts
+                                    for side in (0.0, 1.0)] + [0.0])
+    ref = reference_area_taps(frac, a, b)
+    mid = np.empty((2, frac.size))
+    lo, f0, hi, tail = _area_taps(frac, a, b, mid, np.empty((2, frac.size)))
+    for kept, end in ((lo, 0), (hi, 3)):
+        assert np.all(np.diff(kept) > 0)
+        skipped = np.setdiff1d(np.arange(frac.size), kept)
+        assert np.all(ref[end, skipped] == 0.0)
+        assert not np.signbit(ref[end, skipped]).any()
+    assert np.array_equal(f0, ref[0, lo])
+    assert np.array_equal(mid, ref[1:3])
+    assert np.array_equal(tail, ref[3, hi])
 
 
 @pytest.mark.parametrize("interp", ["nearest", "linear", "area"])
@@ -456,8 +533,7 @@ def one_bincount_per_orbit(stack, angles, interp):
             if interp == "linear" or b < 1e-12:
                 taps, lead = np.array([1.0 - frac, frac]), 0
             else:
-                taps, lead = np.empty((4, npix)), -1
-                _area_taps(frac, a, b, taps, np.empty(npix), np.empty(npix))
+                taps, lead = reference_area_taps(frac, a, b), -1
         # entry v * n_img + e of vals is stack entry e seen through view v
         n_entries = len(cols) * n_img
         bins = (base.astype(np.intp) + radius + lead
@@ -486,6 +562,18 @@ def test_per_view_deposit_matches_one_bincount_per_orbit(interp, shape,
                                                          size=shape + (k,))
     data = drt_rotation(stack, angles=angles, interp=interp).data
     assert np.array_equal(data, one_bincount_per_orbit(stack, angles, interp))
+
+
+def test_pet_phantom_is_the_reference_projection_bit_for_bit():
+    # the synthetic-sinogram phantom is the area projection of the head
+    # phantom at 128 angles, scaled to peak 255: pinned to the bit,
+    # because one ulp anywhere changes every Poisson draw made from it
+    size, peak = 128, 255.0
+    pet = make_phantom(PhantomSpec(kind="synthetic-sinogram", size=size,
+                                   background_intensity=peak))
+    sino = one_bincount_per_orbit(_head_phantom(size)[..., None], size,
+                                  "area")[..., 0]
+    assert np.array_equal(pet, sino * (peak / sino.max()))
 
 
 # --- dihedral angle folding ------------------------------------------------
@@ -694,6 +782,21 @@ def test_propagate_intensity_rejects_bad_rates(bad, message, stack):
     for cfg in (TransformConfig(variant="gdb"), TransformConfig(angles=8)):
         with pytest.raises(ValueError, match=message):
             propagate_intensity(img, cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_projectors_reject_non_finite_images(bad, stack):
+    # signed images are fine; a NaN or infinite pixel fails at entry
+    # instead of spreading NaN through the bins it touches
+    img = np.full((8, 8) + stack, -1.0)
+    img[2, 3] = bad
+    projectors = [drt_gdb] + [
+        lambda x, interp=interp: drt_rotation(x, angles=8, interp=interp)
+        for interp in ("nearest", "linear", "area")]
+    for project in projectors:
+        with pytest.raises(ValueError, match="finite"):
+            project(img)
 
 
 def test_transform_config_validation():

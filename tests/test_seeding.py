@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poissonridge.phantoms import sample_poisson
 from poissonridge.seeding import derive_rng, derive_seed_sequence
 
 
@@ -36,3 +37,25 @@ def test_unicode_stage_names_are_stable():
     a = derive_rng(0, "mc-sample").integers(0, 1 << 30, size=4)
     b = derive_rng(0, "mc-" + "sample").integers(0, 1 << 30, size=4)
     assert (a == b).all()
+
+
+@pytest.mark.parametrize("seed, index", [(1.5, 0), (1.0, 0), (0, 2.9),
+                                         (0, 2.0), ("1", 0),
+                                         (np.float64(3.0), 0)])
+def test_non_integer_seed_or_index_rejected(seed, index):
+    # int() used to truncate these onto the stream of another seed/index
+    with pytest.raises(ValueError, match="must be an integer"):
+        derive_seed_sequence(seed, "x", index)
+    with pytest.raises(ValueError, match="must be an integer"):
+        derive_rng(seed, "x", index=index)
+
+
+def test_numpy_integer_seed_and_index_accepted():
+    a = derive_rng(np.int64(7), "stage-a", index=np.uint8(2)).normal(size=4)
+    b = derive_rng(7, "stage-a", index=2).normal(size=4)
+    assert (a == b).all()
+
+
+def test_sample_poisson_rejects_non_integer_seed():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        sample_poisson(np.ones((4, 4)), seed=2.7)
