@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .radon import Sinogram
+from .radon import _ROTATION_MODES, Sinogram
 
 __all__ = [
     "read_pgm",
@@ -176,19 +176,33 @@ def read_sinogram(path):
 
     The offset range and gdb grid edge follow from the data's row count;
     a header whose offset_min or gdb_size disagrees raises ValueError,
-    and so does a rotation header whose angle count is not the column
-    count.
+    and so do a rotation header whose angle count is not the column
+    count, a missing header key, an unknown variant or rotation interp,
+    and an image_shape that is not two positive sizes.
     """
     data, meta = read_csv(path)
     if meta.get("kind") != "sinogram":
         raise ValueError("file is not a sinogram CSV")
-    variant = meta["variant"]
-    image_shape = tuple(int(t) for t in meta["image_shape"].split(","))
+
+    def header(key):
+        if key not in meta:
+            raise ValueError(f"sinogram header has no {key!r} key")
+        return meta[key]
+
+    variant = header("variant")
+    if variant not in ("rotation", "gdb"):
+        raise ValueError(f"unknown sinogram variant {variant!r}")
+    image_shape = tuple(int(t) for t in header("image_shape").split(","))
+    if len(image_shape) != 2 or min(image_shape) < 1:
+        raise ValueError(f"header image_shape must be two positive sizes, "
+                         f"got {header('image_shape')!r}")
     angles = None
     interp = None
     if variant == "rotation":
-        interp = meta["interp"]
-        angles = np.array([float(t) for t in meta["angles"].split(";")])
+        interp = header("interp")
+        if interp not in _ROTATION_MODES:
+            raise ValueError(f"unknown rotation interp {interp!r}")
+        angles = np.array([float(t) for t in header("angles").split(";")])
         if angles.size != data.shape[1]:
             raise ValueError(
                 f"header has {angles.size} angles for {data.shape[1]} columns")
@@ -200,7 +214,7 @@ def read_sinogram(path):
         interp=interp,
     )
     for key in ("offset_min", "gdb_size"):
-        if int(meta[key]) != getattr(sino, key):
+        if int(header(key)) != getattr(sino, key):
             raise ValueError(
                 f"header {key} = {meta[key]} does not match {data.shape[0]} "
                 f"offset rows (expected {getattr(sino, key)})")

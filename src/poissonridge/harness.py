@@ -54,8 +54,12 @@ def _check_run_counts(samples, seed):
 
 # Samples are transformed in batches holding about this many bytes of
 # Radon data each (one sample's sinogram is rates.nbytes), which keeps
-# peak memory flat; no result depends on it.
+# peak memory flat; no result depends on it. The rotation projector pays
+# a fixed cost per angle and batch, so its batches get four times the
+# budget; the gdb recursion has no such cost and runs fastest on small
+# batches.
 _BATCH_BYTES = 2 ** 19
+_ROTATION_BATCH_SCALE = 4
 
 
 def _normal_ci(values):
@@ -233,53 +237,95 @@ def _merge_sparse_bins(expected, minimum=5.0):
     return [list(range(k, end[k])) for k in range(n) if alive[k]]
 
 
-def _gof_fraction(hist, rates, samples, alpha=0.01):
-    """Fraction of coefficients passing a Poisson chi-square GOF test.
+class _GofCounts:
+    """Poisson chi-square GOF outcome counts of the radon band.
 
-    hist holds per-coefficient outcome counts with the last bin catching
-    overflow. Coefficients are grouped by rate so binning and critical
-    values are computed once per distinct intensity.
+    The bins of every distinct rate are pooled before the first sample,
+    since the pooling needs only the rate, the sample count and the top
+    outcome. Outcomes are then counted straight into one int64 slot per
+    (tested coefficient, group): each tested rate owns a contiguous
+    block of its coefficients' group rows, and slot 0 takes every
+    outcome of an untested coefficient (rate 0, or a rate whose bins
+    pool into a single group). Memory therefore scales with the number
+    of groups, not with coefficients × outcomes.
     """
-    from ._dists import chi2_ppf, poisson_pmf, poisson_sf
 
-    flat_hist = hist.reshape(-1, hist.shape[-1])
-    flat_rates = np.asarray(rates, dtype=float).ravel()
-    top = hist.shape[-1] - 1
+    def __init__(self, rates, samples):
+        from ._dists import poisson_isf, poisson_pmf, poisson_sf
 
-    # sort the usable coefficients by rate once; each distinct rate is
-    # then one slice of the order, gathered with no per-rate mask
-    usable = np.flatnonzero(flat_rates > 0)
-    keys = np.round(flat_rates[usable], 9)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    coefs = usable[order]
-    lams, starts = np.unique(keys, return_index=True)
-    stops = np.append(starts[1:], keys.size)
+        flat_rates = np.asarray(rates, dtype=float).ravel()
+        # outcomes above top share its bin, which holds the upper tail
+        self.top = top = int(poisson_isf(1e-9, max(flat_rates.max(), 1e-3))) + 1
 
-    # expected outcome counts of every distinct rate: one row per rate
-    expected = np.empty((lams.size, top + 1))
-    expected[:, :top] = samples * poisson_pmf(np.arange(top), lams[:, None])
-    expected[:, top] = samples * poisson_sf(top - 1, lams)
+        # sort the usable coefficients by rate once; each distinct rate is
+        # then one slice of the order
+        usable = np.flatnonzero(flat_rates > 0)
+        keys = np.round(flat_rates[usable], 9)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        coefs = usable[order]
+        lams, starts = np.unique(keys, return_index=True)
+        stops = np.append(starts[1:], keys.size)
 
-    stats = []
-    dofs = []
-    for row, start, stop in zip(expected, starts, stops):
-        groups = _merge_sparse_bins(row)
-        if len(groups) < 2:
-            continue
-        # groups are runs of adjacent bins, so each folds with reduceat
-        rows = flat_hist[coefs[start:stop]]
-        folded = np.add.reduceat(rows, [idx[0] for idx in groups], axis=1)
-        exp_folded = np.array([row[idx[0]:idx[-1] + 1].sum()
-                               for idx in groups])
-        stats.append(((folded - exp_folded) ** 2 / exp_folded).sum(axis=1))
-        dofs.append(len(groups) - 1)
-    if not stats:
-        return float("nan"), 0
-    crits = chi2_ppf(1.0 - alpha, dofs)
-    passed = sum(int((stat <= crit).sum()) for stat, crit in zip(stats, crits))
-    tested = sum(stat.size for stat in stats)
-    return passed / tested, tested
+        # expected outcome counts of every distinct rate: one row per rate
+        expected = np.empty((lams.size, top + 1))
+        expected[:, :top] = samples * poisson_pmf(np.arange(top), lams[:, None])
+        expected[:, top] = samples * poisson_sf(top - 1, lams)
+
+        # outcome -> group tables, one row of top + 1 per tested rate
+        # after an all-zero row for the untested coefficients; a
+        # coefficient's outcome v goes to slot
+        # first[c] + groups[row[c] + v], with row[c] a flat row offset
+        tables = [np.zeros(top + 1, dtype=np.intp)]
+        self.row = np.zeros(flat_rates.size, dtype=np.intp)
+        self.first = np.zeros(flat_rates.size, dtype=np.intp)
+        # (first slot, coefficient count, expected count per group)
+        self.blocks = []
+        size = 1
+        for row, start, stop in zip(expected, starts, stops):
+            groups = _merge_sparse_bins(row)
+            if len(groups) < 2:
+                continue
+            members = coefs[start:stop]
+            self.row[members] = len(tables) * (top + 1)
+            self.first[members] = size + len(groups) * np.arange(members.size)
+            tables.append(np.repeat(np.arange(len(groups)),
+                                    [len(idx) for idx in groups]))
+            exp_folded = np.array([row[idx[0]:idx[-1] + 1].sum()
+                                   for idx in groups])
+            self.blocks.append((size, members.size, exp_folded))
+            size += members.size * len(groups)
+        self.groups = np.concatenate(tables)
+        self.counts = np.zeros(size, dtype=np.int64)
+
+    def add(self, stack):
+        """Count the outcomes of samples stacked along the last axis."""
+        vals = np.clip(np.rint(stack).astype(np.int64), 0, self.top)
+        vals = vals.reshape(self.row.size, -1)
+        vals += self.row[:, None]
+        slots = self.groups[vals]
+        slots += self.first[:, None]
+        # one unbuffered add for the batch; the counts only add, so they
+        # do not depend on how the samples were batched
+        np.add.at(self.counts, slots.ravel(), 1)
+
+    def pass_fraction(self, alpha=0.01):
+        """(fraction of tested coefficients passing at level alpha, tested)."""
+        from ._dists import chi2_ppf
+
+        if not self.blocks:
+            return float("nan"), 0
+        stats = []
+        dofs = []
+        for first, n, exp_folded in self.blocks:
+            folded = self.counts[first:first + n * exp_folded.size]
+            folded = folded.reshape(n, exp_folded.size)
+            stats.append(((folded - exp_folded) ** 2 / exp_folded).sum(axis=1))
+            dofs.append(exp_folded.size - 1)
+        crits = chi2_ppf(1.0 - alpha, dofs)
+        passed = sum(int((stat <= crit).sum()) for stat, crit in zip(stats, crits))
+        tested = sum(stat.size for stat in stats)
+        return passed / tested, tested
 
 
 class _BandSums:
@@ -324,7 +370,11 @@ def run_distribution_experiment(spec, transform, samples, seed,
     Samples are drawn and transformed in batches whose size is fixed by
     a byte budget, not by any argument. Results do not depend on the
     batch size: sample i always uses its own stream, and every sum is
-    accumulated one sample at a time in sample order.
+    accumulated one sample at a time in sample order. With gof, the
+    chi-square bins of every distinct rate are pooled before the first
+    sample and each outcome is counted straight into its pooled group,
+    so the GOF memory scales with coefficients × groups rather than
+    with coefficients × outcomes.
 
     Parameters
     ----------
@@ -379,16 +429,10 @@ def run_distribution_experiment(spec, transform, samples, seed,
                       var, pred.approximation))
     sums = [_BandSums(mean, driver > 0) for _, _, mean, _, driver in bands]
 
-    if gof:
-        from ._dists import poisson_isf
+    gof_counts = _GofCounts(rates, samples) if gof else None
 
-        top = int(poisson_isf(1e-9, max(rates.max(), 1e-3))) + 1
-        # flat (coefficient, outcome) counts; coefficient c's bins start
-        # at c * (top + 1)
-        hist = np.zeros(n_off * n_cols * (top + 1), dtype=np.int64)
-        bin_base = (np.arange(n_off * n_cols) * (top + 1))[:, None]
-
-    batch = max(1, _BATCH_BYTES // rates.nbytes)
+    scale = _ROTATION_BATCH_SCALE if transform.variant == "rotation" else 1
+    batch = max(1, _BATCH_BYTES * scale // rates.nbytes)
     for first in range(0, samples, batch):
         counts = [derive_rng(seed, "mc-sample", i).poisson(intensity)
                   .astype(np.int64)
@@ -396,10 +440,7 @@ def run_distribution_experiment(spec, transform, samples, seed,
         data = propagate_intensity(np.stack(counts, axis=-1), transform).data
         sums[0].add(data)
         if gof:
-            # one unbuffered add for the batch; a bincount would zero and
-            # add a histogram-sized array every batch, about 4x slower
-            vals = np.clip(np.rint(data).astype(np.int64), 0, top)
-            np.add.at(hist, (bin_base + vals.reshape(n_off * n_cols, -1)).ravel(), 1)
+            gof_counts.add(data)
         if wavelet is not None:
             # the batch's columns side by side: one analysis for them all
             pyr = dwt_forward(data.reshape(n_off, -1), wavelet)
@@ -409,10 +450,8 @@ def run_distribution_experiment(spec, transform, samples, seed,
     reports = [_band_report(band, level, samples, acc, pred_var, driver)
                for (band, level, _, pred_var, driver), acc in zip(bands, sums)]
     if gof:
-        frac, tested = _gof_fraction(hist.reshape(n_off, n_cols, top + 1),
-                                     rates, samples)
-        reports[0].gof_pass_fraction = frac
-        reports[0].gof_tested = tested
+        (reports[0].gof_pass_fraction,
+         reports[0].gof_tested) = gof_counts.pass_fraction()
     return reports
 
 

@@ -10,7 +10,20 @@ def _pair(x, ref):
     ref = np.asarray(ref, dtype=float)
     if x.shape != ref.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {ref.shape}")
+    if x.size == 0:
+        raise ValueError(f"cannot compare empty arrays of shape {x.shape}")
+    for name, arr in (("input", x), ("reference", ref)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds NaN or infinite values")
     return x, ref
+
+
+def _positive_scale(value, name):
+    """value as a float; ValueError unless positive and finite."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 def mse(x, ref):
@@ -25,10 +38,7 @@ def psnr(x, ref, peak=None):
     returns +inf.
     """
     x, ref = _pair(x, ref)
-    if peak is None:
-        peak = float(ref.max())
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    peak = _positive_scale(ref.max() if peak is None else peak, "peak")
     err = mse(x, ref)
     if err == 0.0:
         return float("inf")
@@ -43,10 +53,8 @@ def ssim_global(x, ref, data_range=None):
     defaults to the reference maximum.
     """
     x, ref = _pair(x, ref)
-    if data_range is None:
-        data_range = float(ref.max())
-    if data_range <= 0:
-        raise ValueError("data_range must be positive")
+    data_range = _positive_scale(ref.max() if data_range is None
+                                 else data_range, "data_range")
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
     c3 = c2 / 2.0

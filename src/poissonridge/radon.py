@@ -133,6 +133,8 @@ def _image_stack(img):
     if arr.ndim < 2:
         raise ValueError(
             f"image must be 2-D or a stack of 2-D images, got shape {arr.shape}")
+    if 0 in arr.shape[:2]:
+        raise ValueError(f"image has an empty spatial axis: shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("image must be finite: it holds NaN or infinite pixels")
     return arr

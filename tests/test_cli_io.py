@@ -332,6 +332,40 @@ def test_read_sinogram_rejects_angle_count_off_the_columns(tmp_path):
         read_sinogram(p)
 
 
+def _rotation_sinogram_file(tmp_path):
+    p = tmp_path / "rot.csv"
+    write_sinogram(p, drt_rotation(np.ones((8, 8)), angles=4, interp="area"))
+    return p
+
+
+@pytest.mark.parametrize("key", ["variant", "image_shape", "interp", "angles",
+                                 "offset_min", "gdb_size"])
+def test_read_sinogram_names_a_missing_header_key(tmp_path, key):
+    p = _rotation_sinogram_file(tmp_path)
+    lines = p.read_text().splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(f"# {key} = ")]
+    assert len(kept) == len(lines) - 1
+    p.write_text("".join(kept))
+    with pytest.raises(ValueError, match=f"no '{key}' key"):
+        read_sinogram(p)
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("variant = rotation", "variant = fan", "unknown sinogram variant 'fan'"),
+    ("interp = area", "interp = cubic", "unknown rotation interp 'cubic'"),
+    ("image_shape = 8,8", "image_shape = 8", "two positive sizes, got '8'"),
+    ("image_shape = 8,8", "image_shape = 0,8", "two positive sizes"),
+])
+def test_read_sinogram_rejects_unknown_header_values(tmp_path, line, bad,
+                                                     message):
+    p = _rotation_sinogram_file(tmp_path)
+    text = p.read_text()
+    assert f"# {line}\n" in text
+    p.write_text(text.replace(f"# {line}\n", f"# {bad}\n"))
+    with pytest.raises(ValueError, match=message):
+        read_sinogram(p)
+
+
 # --- svg scatter ----------------------------------------------------------
 
 def test_scatter_svg_marks_every_point(tmp_path):

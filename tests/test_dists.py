@@ -21,7 +21,7 @@ GOF_TAIL = 1e-9
 
 
 def gof_rates():
-    # the distinct rates _gof_fraction groups by: projected phantoms,
+    # the distinct rates _GofCounts groups by: projected phantoms,
     # rounded to 9 digits, and a sweep from near zero to high counts
     rates = [np.geomspace(1e-6, 400.0, 1500),
              np.round(np.geomspace(1e-6, 400.0, 500) * np.pi, 9)]
@@ -62,7 +62,7 @@ def test_isf_with_a_scalar_rate_matches_scipy(lams, q):
 def test_chi2_critical_values_match_scipy():
     dofs = list(range(1, 400))
     assert np.array_equal(chi2_ppf(0.99, dofs), chi2.ppf(0.99, dofs))
-    # _gof_fraction takes any alpha. For these dofs the upper-tail
+    # pass_fraction takes any alpha. For these dofs the upper-tail
     # inverse chdtri(df, 1 - p) agrees bit for bit at p = 0.99 and 0.95,
     # but not at 0.9, 0.5 or 0.1, which tell the two apart
     for alpha in (0.05, 0.1, 0.5, 0.9):

@@ -251,22 +251,74 @@ def gof_per_rate_masks(hist, rates, samples, alpha=0.01):
 @given(seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(20, 400),
        distinct=st.integers(1, 12))
 def test_gof_fraction_matches_a_loop_over_the_rates(seed, samples, distinct):
-    # one pmf/sf table and one chi2.ppf call for every rate must count
-    # exactly what one call per rate counts; a third of the coefficients
-    # draw at 1.5x their rate, so both passes and failures occur
+    # groups planned once for every rate and outcomes counted straight
+    # into them must count exactly what a histogram folded one rate at a
+    # time counts; a third of the coefficients draw at 1.5x their rate,
+    # so both passes and failures occur
     rng = np.random.default_rng(seed)
     levels = np.concatenate([[0.0], rng.uniform(1e-3, 30.0, distinct)])
     rates = rng.choice(levels, size=(9, 7))
     top = int(poisson.isf(1e-9, max(rates.max(), 1e-3))) + 1
     drawn = rates * rng.choice([1.0, 1.0, 1.5], size=rates.shape)
-    vals = np.clip(rng.poisson(drawn[..., None], rates.shape + (samples,)),
-                   0, top)
-    hist = (vals[..., None] == np.arange(top + 1)).sum(axis=-2)
-    frac, tested = harness._gof_fraction(hist, rates, samples)
+    vals = rng.poisson(drawn[..., None], rates.shape + (samples,))
+    hist = (np.clip(vals, 0, top)[..., None] == np.arange(top + 1)).sum(axis=-2)
+    gof = harness._GofCounts(rates, samples)
+    assert gof.top == top
+    # in uneven batches, as the harness adds them
+    for part in np.array_split(vals.astype(float), 3, axis=-1):
+        gof.add(part)
+    frac, tested = gof.pass_fraction()
     want_frac, want_tested = gof_per_rate_masks(hist, rates, samples)
     assert tested == want_tested
     assert frac == want_frac or (tested == 0 and math.isnan(frac)
                                  and math.isnan(want_frac))
+
+
+def test_gof_outcomes_above_top_land_in_the_overflow_group():
+    rates = np.full((2, 3), 4.0)
+    samples = 200
+    gof = harness._GofCounts(rates, samples)
+    (first, n, exp_folded), = gof.blocks
+    vals = np.full(rates.shape + (samples,), 4.0)
+    vals[0, 1, :] = gof.top + 7.0       # every outcome far above top
+    vals[1, 2, :50] = gof.top + 0.4     # rounds to top itself
+    gof.add(vals)
+    folded = gof.counts[first:first + n * exp_folded.size].reshape(n, -1)
+    assert np.array_equal(folded.sum(axis=1), np.full(n, samples))
+    hist = np.zeros(rates.shape + (gof.top + 1,), dtype=np.int64)
+    for idx in np.ndindex(rates.shape):
+        hist[idx] = np.bincount(np.clip(np.rint(vals[idx]).astype(int), 0,
+                                        gof.top), minlength=gof.top + 1)
+    # coefficient (0, 1) has every count in its last group: it fails
+    assert folded[1, -1] == samples and folded[1, :-1].sum() == 0
+    assert folded[5, -1] >= 50
+    assert gof.pass_fraction() == gof_per_rate_masks(hist, rates, samples)
+    assert gof.pass_fraction()[1] == rates.size
+
+
+def test_gof_leaves_rate_zero_and_single_group_rates_untested():
+    # a rate of 1e-3 over 100 samples expects 0.1 nonzero outcomes in
+    # all, so its bins pool into one group and it has nothing to test
+    rates = np.array([[0.0, 1e-3, 6.0],
+                      [6.0, 0.0, 1e-3]])
+    samples = 100
+    gof = harness._GofCounts(rates, samples)
+    assert _merge_sparse_bins(expected_counts(1e-3, samples, gof.top)) == [
+        list(range(gof.top + 1))]
+    vals = np.full(rates.shape + (samples,), 6.0)
+    vals[rates == 0.0] = 3.0            # outcomes a rate of 0 cannot give
+    gof.add(vals)
+    frac, tested = gof.pass_fraction()
+    assert tested == 2
+    # untested outcomes share the one spare slot and no group row
+    assert gof.counts[0] == 4 * samples
+    assert gof.counts[1:].sum() == 2 * samples
+    untested = harness._GofCounts(np.where(rates == 6.0, 0.0, rates),
+                                  samples)
+    untested.add(vals)
+    assert untested.counts.shape == (1,)
+    frac, tested = untested.pass_fraction()
+    assert tested == 0 and math.isnan(frac)
 
 
 def dense_atoms(spec, level, band, n):

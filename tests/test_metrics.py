@@ -87,3 +87,20 @@ def test_metric_validation():
         psnr(np.zeros((2, 2)), np.zeros((2, 2)))  # nonpositive peak
     with pytest.raises(ValueError):
         ssim_global(_A, _B, data_range=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="peak must be positive and finite"):
+            psnr(_A, _B, peak=bad)
+        with pytest.raises(ValueError, match="data_range must be positive"):
+            ssim_global(_A, _B, data_range=bad)
+    for metric in (mse, psnr, ssim_global):
+        # a NaN or inf pixel fails loudly instead of returning NaN or inf
+        for bad in (np.nan, np.inf, -np.inf):
+            x = _A.copy()
+            x[1, 2] = bad
+            with pytest.raises(ValueError, match="input holds NaN or inf"):
+                metric(x, _B)
+            with pytest.raises(ValueError, match="reference holds NaN or inf"):
+                metric(_B, x)
+        for shape in ((0,), (0, 4), (3, 0)):
+            with pytest.raises(ValueError, match="empty"):
+                metric(np.zeros(shape), np.zeros(shape))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,9 @@ def test_validate_intensity_rejects_bad_arrays():
         validate_intensity(np.array([[1.0, -0.1]]))
     with pytest.raises(ValueError):
         validate_intensity(np.array([[np.nan, 1.0]]))
+    for shape in [(0, 4), (4, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"empty axis: shape {shape}")):
+            validate_intensity(np.zeros(shape))
 
 
 def test_sample_poisson_deterministic_and_integer():

@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -796,6 +797,21 @@ def test_projectors_reject_non_finite_images(bad, stack):
         for interp in ("nearest", "linear", "area")]
     for project in projectors:
         with pytest.raises(ValueError, match="finite"):
+            project(img)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 4, 2)])
+def test_projectors_reject_an_empty_spatial_axis(shape):
+    # an empty grid fails at entry naming its shape, not inside a reshape
+    # (rotation) or as an all-zero sinogram (gdb)
+    img = np.zeros(shape)
+    projectors = [drt_gdb] + [
+        lambda x, interp=interp: drt_rotation(x, angles=8, interp=interp)
+        for interp in ("nearest", "linear", "area")] + [
+        lambda x, cfg=cfg: propagate_intensity(x, cfg)
+        for cfg in (TransformConfig("gdb"), TransformConfig(angles=8))]
+    for project in projectors:
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
             project(img)
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -269,6 +270,20 @@ def test_denoise_rejects_bad_counts_before_any_transform(monkeypatch, entry,
     counts[5, 7] = bad
     with pytest.raises(ValueError, match=message):
         denoise_full(counts, DenoiseConfig(entry=entry))
+
+
+@pytest.mark.parametrize("entry", ["image", "sinogram"])
+@pytest.mark.parametrize("shape", [(4, 0), (0, 4)])
+def test_denoise_rejects_an_empty_axis_before_any_transform(monkeypatch,
+                                                            entry, shape):
+    def never(*args, **kwargs):
+        raise AssertionError("a transform ran on an empty grid")
+
+    for name in ("propagate_intensity", "dwt_forward", "fbp_invert",
+                 "_analysis_cascade"):
+        monkeypatch.setattr(ridgelet, name, never)
+    with pytest.raises(ValueError, match=re.escape(f"empty axis: shape {shape}")):
+        denoise(np.zeros(shape), DenoiseConfig(entry=entry))
 
 
 @pytest.mark.parametrize("config, message", [
