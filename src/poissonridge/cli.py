@@ -157,6 +157,10 @@ def _cmd_denoise(args):
     report = RunReport(config_echo=_config_echo(cfg))
     t0 = time.perf_counter()
     reference = make_phantom(cfg.phantom)
+    if not reference.max() > 0:
+        # every metric is scaled by the reference peak
+        raise ValueError("the reference phantom's peak rate is 0; "
+                         "phantom.background_intensity must be > 0")
     counts = sample_poisson(reference,
                             rng=derive_rng(cfg.seed, "denoise-sample"))
     report.timings.append(("simulate", time.perf_counter() - t0))

@@ -99,21 +99,34 @@ def read_pgm(path):
     return a.astype(np.int64)
 
 
+def _reads_back(text):
+    # read_csv splits lines and strips every header key and value
+    return text == text.strip() and len(text.splitlines()) <= 1
+
+
 def _format_meta(meta):
+    """'# key = value' lines; ValueError for a key or value that
+    read_csv would not return unchanged, and for the reserved 'shape'."""
     lines = []
     for key, value in meta.items():
-        key = str(key)
-        if "=" in key or "\n" in key:
+        key, value = str(key), str(value)
+        if key == "shape":
+            raise ValueError("metadata key 'shape' is reserved for the array shape")
+        if "=" in key or not _reads_back(key):
             raise ValueError(f"bad metadata key {key!r}")
-        value = str(value)
-        if "\n" in value:
-            raise ValueError(f"bad metadata value for {key!r}")
+        if not _reads_back(value):
+            raise ValueError(f"bad metadata value for {key!r}: {value!r}")
         lines.append(f"# {key} = {value}\n")
     return lines
 
 
 def write_csv(path, array, meta=None):
-    """Write a 1- or 2-D real array with '# key = value' header lines."""
+    """Write a 1- or 2-D real array with '# key = value' header lines.
+
+    Every metadata key and value (as str) must read back unchanged: no
+    'shape' key, no '=' in a key, and no line break or leading or
+    trailing whitespace in either.
+    """
     a = np.atleast_2d(np.asarray(array, dtype=float))
     if a.ndim != 2:
         raise ValueError("CSV output needs a 1- or 2-D array")

@@ -379,6 +379,8 @@ def run_distribution_experiment(spec, transform, samples, seed,
     Parameters
     ----------
     spec : PhantomSpec
+        At least one of its rates must stay positive through the
+        transform; that is checked before the first sample is drawn.
     transform : TransformConfig
     samples : int
         Monte-Carlo sample count, an integer >= 100.
@@ -414,6 +416,10 @@ def run_distribution_experiment(spec, transform, samples, seed,
     if wavelet is not None:
         _check_length(_column_length(intensity.shape, transform), wavelet)
     rates = propagate_intensity(intensity, transform).data
+    if not (rates > 0).any():
+        raise ValueError(
+            "every propagated rate is 0, so every sample would be 0; "
+            "the phantom needs a positive intensity")
     n_off, n_cols = rates.shape
 
     # (band, level, predicted mean, predicted variance, driver) per band

@@ -61,14 +61,12 @@ class PhantomSpec:
         kind, >= 2 and the source head-phantom edge; the output then has
         the detector geometry).
     background_intensity : float
-        Poisson rate of the background, finite and >= 0.
+        Poisson rate of the background, finite and >= 0. For the sinogram
+        kind it is the sinogram's peak rate.
     structure_gain : float
         Structures are filled at gain x background; finite and >= 0.
     structures : tuple of Disk | Bar
         Shapes for the inhomogeneous kind, in fraction-of-size units.
-    peak_factor : float
-        The synthetic sinogram is scaled so its peak equals
-        background_intensity x peak_factor; finite and > 0.
     """
 
     kind: str = "homogeneous"
@@ -77,7 +75,6 @@ class PhantomSpec:
     structure_gain: float = 10.0
     # centered disk of radius size/8 plus an off-center bar size/16 x size/3
     structures: tuple = (Disk(0.5, 0.5, 0.125), Bar(0.70, 0.15, 0.0625, 1.0 / 3.0))
-    peak_factor: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -90,13 +87,11 @@ class PhantomSpec:
         if self.size < least:
             raise ValueError(
                 f"{self.kind} phantom size must be >= {least}, got {self.size}")
-        for name in ("background_intensity", "structure_gain", "peak_factor"):
+        for name in ("background_intensity", "structure_gain"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and >= 0, got {value}")
-        if self.peak_factor == 0:
-            raise ValueError(f"peak_factor must be > 0, got {self.peak_factor}")
         if self.kind == "inhomogeneous":
             _check_structures(self.structures, int(self.size))
 
@@ -175,7 +170,7 @@ def make_phantom(spec):
     For ``"synthetic-sinogram"`` the output is the Radon transform of a
     piecewise-constant head phantom (rows = offsets, columns = angles,
     one angle per pixel of source edge), scaled so its peak equals
-    ``background_intensity * peak_factor``. Sinogram pixel values are
+    ``background_intensity``. Sinogram pixel values are
     treated as the true underlying intensity function.
 
     Returns
@@ -209,9 +204,7 @@ def make_phantom(spec):
     # synthetic-sinogram, the one kind left
     head = _head_phantom(size)
     sino = drt_rotation(head, angles=size, interp="area")
-    peak = sino.data.max()
-    target = lam * float(spec.peak_factor)
-    return sino.data * (target / peak)
+    return sino.data * (lam / sino.data.max())
 
 
 def sample_poisson(intensity, rng=None, seed=None):

@@ -99,19 +99,20 @@ def estimate_band_noise(band, approx, spec, level):
         Same-shape detail and approximation coefficients at this level.
     spec : WaveletSpec
     level : int
-        1-based level of the band.
+        1-based level of the band, an integer in 1..spec.levels.
 
     Returns
     -------
     BandNoiseModel
     """
+    gain = lowpass_gain(spec, level)
     band = np.asarray(band, dtype=float)
     approx = np.asarray(approx, dtype=float)
     if band.shape != approx.shape:
         raise ValueError(
             f"band and approximation must be co-located, got shapes "
             f"{band.shape} and {approx.shape}")
-    variances = np.clip(approx, 0.0, None) / lowpass_gain(spec, level)
+    variances = np.clip(approx, 0.0, None) / gain
     return BandNoiseModel(variances=variances, scale=_median_scale(variances))
 
 
@@ -256,14 +257,24 @@ def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):
     """One threshold per detail band (or one shared, per policy).
 
     noise_models is a list of BandNoiseModel, finest level first, and
-    reference (optional) a pyramid of clean coefficients.
+    reference (optional) a pyramid of clean coefficients whose detail
+    bands have the shapes of pyramid's.
     """
     details = pyramid.details
     if len(noise_models) != len(details):
         raise ValueError(
             f"need one noise model per detail band: got {len(noise_models)} "
             f"for {len(details)} bands")
-    refs = reference.details if reference is not None else [None] * len(details)
+    if reference is None:
+        refs = [None] * len(details)
+    else:
+        refs = reference.details
+        shapes = [np.shape(d) for d in details]
+        ref_shapes = [np.shape(r) for r in refs]
+        if ref_shapes != shapes:
+            raise ValueError(
+                f"reference detail bands {ref_shapes} do not match the "
+                f"pyramid's {shapes}")
     if policy.per_band:
         return [select_threshold(d, nm, policy, r)
                 for d, nm, r in zip(details, noise_models, refs)]

@@ -65,7 +65,7 @@ def moment_match(atom, intensities):
     atom : array_like
         Analysis weights psi_i.
     intensities : array_like
-        Poisson rates lambda_i, same length, non-negative.
+        Poisson rates lambda_i, same length, finite and non-negative.
 
     Returns
     -------
@@ -85,6 +85,8 @@ def moment_match(atom, intensities):
         raise ValueError(
             f"atom and intensities must be equal-length 1-D, got {psi.shape} "
             f"and {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise ValueError("intensities must be finite")
     if lam.min(initial=0.0) < 0:
         raise ValueError("intensities must be non-negative")
 
@@ -137,12 +139,12 @@ def spd_pmf(params, w, variant="difference", tol=1e-9):
 
     Enumerates the (p, m) count lattice with Poisson tails below 1e-12
     truncated, and accumulates the outcomes whose value
-    alpha_plus * p -/+ alpha_minus * m lies within tol of w. Accepts a
-    scalar or an array of outcome values.
+    alpha_plus * p -/+ alpha_minus * m lies within tol of w, a finite
+    tol > 0. Accepts a scalar or an array of outcome values.
     """
     _check_variant(variant)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     sign = _sign(variant)
     ap, am = params.alpha_plus, params.alpha_minus
     p_pmf = _side_pmf(params.lambda_plus)
@@ -255,9 +257,12 @@ def wavelet_coeff_dist(atom, intensities, variant="difference", tail=1e-12):
         the modeled pmf and the exact coefficient pmf, both enumerated by
         pooling equal-weight coordinates (the model's two coordinates
         are its scaled sign-class counts). quality is None when either
-        enumeration is infeasible.
+        enumeration is infeasible. Both drop Poisson outcomes whose
+        probability is below tail, which must lie in (0, 1).
     """
     _check_variant(variant)
+    if not 0 < tail < 1:
+        raise ValueError(f"tail must be in (0, 1), got {tail}")
     params = moment_match(atom, intensities)
     exact = _exact_coeff_pmf(atom, intensities, tail)
     # the model is itself a weighted sum of two Poisson counts

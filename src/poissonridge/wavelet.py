@@ -241,8 +241,19 @@ def approximation_chain(x, spec):
     return _analysis_cascade(x, spec)[1]
 
 
+def _check_level(spec, level):
+    """Raise ValueError unless level is an integer in 1..spec.levels."""
+    if not (isinstance(level, numbers.Integral) and 1 <= level <= spec.levels):
+        raise ValueError(
+            f"level must be an integer in 1..{spec.levels}, got {level!r}")
+
+
 def lowpass_gain(spec, level):
-    """Gain of the level-j approximation atom on a constant signal."""
+    """Gain of the level-j approximation atom on a constant signal.
+
+    level is an integer in 1..spec.levels.
+    """
+    _check_level(spec, level)
     lo, _ = _filter_pair(spec.filter)
     return float(lo.sum() ** level)
 
@@ -271,8 +282,7 @@ def wavelet_atom(spec, level, k, n, band="detail"):
     """
     if band not in ("detail", "approximation"):
         raise ValueError(f"unknown band {band!r}")
-    if not 1 <= level <= spec.levels:
-        raise ValueError(f"level must be in 1..{spec.levels}, got {level}")
+    _check_level(spec, level)
     _check_length(n, spec)
     pyr = dwt_forward(np.zeros(n), replace(spec, levels=level))
     coeffs = pyr.details[-1] if band == "detail" else pyr.approximation

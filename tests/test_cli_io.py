@@ -4,6 +4,8 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+import poissonridge.cli as cli
+import poissonridge.harness as harness
 from poissonridge.cli import main
 from poissonridge.config import (DEFAULTS_TABLE, ConfigError, RunConfig,
                                  load_config, parse_config)
@@ -70,6 +72,10 @@ def test_errors_carry_line_number_and_field_name():
         parse_config("just some words\n")
     with pytest.raises(ConfigError, match=r"line 1.*seed must be >= 0"):
         parse_config("seed = -1\n")
+    # the synthetic sinogram's peak is phantom.background_intensity
+    with pytest.raises(ConfigError,
+                       match=r"^line 2: unknown key 'phantom\.peak_factor'"):
+        parse_config("preset = pet\nphantom.peak_factor = 2\n")
 
 
 def test_component_validation_is_wrapped_with_location():
@@ -151,9 +157,8 @@ def test_samples_below_harness_floor_rejected_at_parse():
 # each case's last line is the one at fault
 _NEVER_RUN = [
     *[[f"phantom.{name} = {value}"]
-      for name in ("background_intensity", "structure_gain", "peak_factor")
+      for name in ("background_intensity", "structure_gain")
       for value in ("nan", "inf", "-inf", "-1")],
-    ["phantom.peak_factor = 0"],
     ["seed = 2", "phantom.size = 0"],
     ["phantom.kind = synthetic-sinogram", "phantom.size = 1"],
     ["phantom.size = 1", "phantom.kind = synthetic-sinogram"],
@@ -271,6 +276,33 @@ def test_csv_structure_errors(tmp_path):
     q.write_text("# shape = 2,2\n1,2\n3\n")
     with pytest.raises(ValueError):
         read_csv(q)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"shape": "3,2"}, "reserved"),
+    ({" kind": "x"}, "bad metadata key"),
+    ({"kind ": "x"}, "bad metadata key"),
+    ({"a=b": "x"}, "bad metadata key"),
+    ({"a\rb": "x"}, "bad metadata key"),
+    ({"kind": " x"}, "bad metadata value"),
+    ({"kind": "x\t"}, "bad metadata value"),
+    ({"kind": "x\ny"}, "bad metadata value"),
+    ({"kind": "x\x0by"}, "bad metadata value"),
+], ids=["shape", "key-lead-space", "key-trail-space", "key-equals", "key-cr",
+        "value-lead-space", "value-trail-tab", "value-newline", "value-vtab"])
+def test_csv_metadata_that_would_not_read_back_is_rejected(tmp_path, meta,
+                                                          message):
+    # read_csv takes 'shape' as the array shape and strips keys and values
+    p = tmp_path / "grid.csv"
+    with pytest.raises(ValueError, match=message):
+        write_csv(p, np.ones((2, 3)), meta)
+    assert not p.exists()
+
+
+def test_csv_metadata_round_trips_inner_spaces_and_equals(tmp_path):
+    meta = {"note": "a = b; c", "empty": "", "two words": "x  y"}
+    write_csv(tmp_path / "grid.csv", np.ones((2, 3)), meta)
+    assert read_csv(tmp_path / "grid.csv")[1] == meta
 
 
 def test_write_leaves_no_temp_droppings(tmp_path):
@@ -527,6 +559,29 @@ output_dir = {tmp_path / 'out'}
 
     assert main(["denoise", "-c", cfg, "--selector", "magic"]) == 1
     assert capsys.readouterr().err.startswith("error: validation:")
+
+
+@pytest.mark.parametrize("argv", [["verify-dist", "--gof"], ["denoise"]])
+def test_cli_zero_rate_phantom_fails_before_any_artifact(tmp_path, capsys,
+                                                         monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("ran a phantom with no positive rate")
+
+    monkeypatch.setattr(harness, "derive_rng", never)
+    monkeypatch.setattr(cli, "denoise_full", never)
+    cfg = write_cfg(tmp_path, f"""
+phantom.kind = inhomogeneous
+phantom.size = 8
+phantom.background_intensity = 0
+transform.variant = gdb
+samples = 100
+output_dir = {tmp_path / 'out'}
+""")
+    assert main([argv[0], "-c", cfg, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+    assert "rate is 0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_metrics_compares_two_grids(tmp_path, capsys):

@@ -182,6 +182,22 @@ def test_over_deep_wavelet_rejected_before_projecting(monkeypatch, transform,
                                     wavelet=WaveletSpec("haar", 5, "undecimated"))
 
 
+@pytest.mark.parametrize("kind", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("transform", [
+    TransformConfig("gdb"), TransformConfig("rotation", 12, "nearest")])
+def test_zero_rate_phantom_rejected_before_sampling(monkeypatch, kind,
+                                                    transform):
+    # all-zero rates give all-zero samples and an empty scatter
+    def never(*args, **kwargs):
+        raise AssertionError("sampled a phantom with no positive rate")
+
+    monkeypatch.setattr(harness, "derive_rng", never)
+    spec = PhantomSpec(kind, 8, background_intensity=0.0)
+    with pytest.raises(ValueError, match="every propagated rate is 0"):
+        run_distribution_experiment(spec, transform, 100, 0, wavelet=WAV,
+                                    gof=True)
+
+
 def test_variance_vs_intensity_inputs(gdb_reports):
     r = gdb_reports[0]
     fit = variance_vs_intensity(r)

@@ -55,9 +55,8 @@ def test_unknown_kind_rejected():
 
 @pytest.mark.parametrize("kwargs", [
     *[{name: value}
-      for name in ("background_intensity", "structure_gain", "peak_factor")
+      for name in ("background_intensity", "structure_gain")
       for value in (np.nan, np.inf, -np.inf, -1.0)],
-    {"peak_factor": 0.0},
     {"size": 0},
     {"kind": "synthetic-sinogram", "size": 1},
     {"kind": "synthetic-sinogram", "size": 16.7},
@@ -79,7 +78,7 @@ def test_default_structures_are_a_tuple():
 
 def test_synthetic_sinogram_peak_scaling():
     spec = PhantomSpec(kind="synthetic-sinogram", size=64,
-                       background_intensity=255.0, peak_factor=1.0)
+                       background_intensity=255.0)
     sino = make_phantom(spec)
     assert sino.ndim == 2
     assert sino.min() >= 0.0
@@ -88,12 +87,18 @@ def test_synthetic_sinogram_peak_scaling():
     assert sino.shape[1] == 64
 
 
-def test_synthetic_sinogram_scales_linearly_with_peak_factor():
+def test_synthetic_sinogram_scales_linearly_with_background_intensity():
     lo = make_phantom(PhantomSpec(kind="synthetic-sinogram", size=32,
-                                  background_intensity=10.0, peak_factor=1.0))
+                                  background_intensity=10.0))
     hi = make_phantom(PhantomSpec(kind="synthetic-sinogram", size=32,
-                                  background_intensity=10.0, peak_factor=3.0))
+                                  background_intensity=30.0))
     assert np.allclose(hi, 3.0 * lo)
+
+
+def test_peak_factor_is_not_a_spec_field():
+    # the sinogram's peak is background_intensity itself
+    with pytest.raises(TypeError, match="peak_factor"):
+        PhantomSpec(peak_factor=1.0)
 
 
 def test_validate_intensity_rejects_bad_arrays():

@@ -72,6 +72,14 @@ def test_estimate_band_noise_shape_mismatch():
         estimate_band_noise(np.zeros(4), np.zeros(5), spec, 1)
 
 
+@pytest.mark.parametrize("level", [0, 3, 9, 1.5])
+def test_estimate_band_noise_rejects_a_level_outside_the_spec(level):
+    # the variances would be divided by the gain of a level never run
+    spec = WaveletSpec("haar", 2, "undecimated")
+    with pytest.raises(ValueError, match=r"level must be an integer in 1\.\.2"):
+        estimate_band_noise(np.zeros(16), np.full(16, 5.0), spec, level)
+
+
 def test_threshold_grid_layout():
     policy = ThresholdPolicy(grid_points=6, grid_max=5.0)
     assert np.allclose(threshold_grid(policy, 2.0), [0, 2, 4, 6, 8, 10])
@@ -420,3 +428,15 @@ def test_threshold_count_mismatch():
     with pytest.raises(ValueError):
         select_pyramid_thresholds(pyr, ThresholdPolicy(), noise_for(pyr)[:1])
 
+
+@pytest.mark.parametrize("per_band", [True, False])
+@pytest.mark.parametrize("ref_levels, ref_length", [(2, 32), (3, 16)])
+def test_reference_pyramid_must_match_the_bands(per_band, ref_levels,
+                                                 ref_length):
+    # zipping a 2-level reference with 3 bands leaves the third unshrunk
+    pyr = make_pyramid(4, levels=3)
+    ref = dwt_forward(np.ones(ref_length),
+                      WaveletSpec("haar", ref_levels, "undecimated"))
+    policy = ThresholdPolicy(selector="oracle-erm", per_band=per_band)
+    with pytest.raises(ValueError, match="reference detail bands"):
+        select_pyramid_thresholds(pyr, policy, noise_for(pyr), reference=ref)

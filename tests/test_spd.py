@@ -41,6 +41,10 @@ def test_moment_match_validation():
         moment_match(np.ones(3), np.array([1.0, -0.5, 2.0]))
     with pytest.raises(ValueError):
         moment_match(np.ones((2, 2)), np.ones((2, 2)))
+    # NaN passes a sign check and would come back as NaN parameters
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="intensities must be finite"):
+            moment_match(np.ones(3), np.array([1.0, bad, 2.0]))
 
 
 def test_one_sided_and_empty_atoms():
@@ -101,10 +105,17 @@ def test_pmf_validation():
     params = moment_match(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         spd_pmf(params, 0.0, tol=0.0)
+    # a NaN tol matches no outcome, so every probability would read 0
+    for tol in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            spd_pmf(params, 0.0, tol=tol)
     with pytest.raises(ValueError):
         spd_pmf(params, 0.0, variant="ratio")
     with pytest.raises(ValueError):
         wavelet_coeff_dist([1.0, -1.0], [1.0, 1.0], variant="ratio")
+    for tail in (0.0, np.nan, 1.0, 2.0, -1e-12):
+        with pytest.raises(ValueError, match=r"tail must be in \(0, 1\)"):
+            wavelet_coeff_dist([1.0, -1.0], [1.0, 1.0], tail=tail)
 
 
 def test_sampling_deterministic_and_moment_faithful():

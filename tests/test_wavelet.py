@@ -201,6 +201,13 @@ def test_lowpass_gain_powers_of_sqrt2():
         assert np.allclose(a, 3.0 * lowpass_gain(spec, level))
 
 
+@pytest.mark.parametrize("level", [0, -1, 4, 7, 1.5, 2.0])
+def test_lowpass_gain_rejects_a_level_outside_the_spec(level):
+    # no band of the spec has the gain of such a level
+    with pytest.raises(ValueError, match=r"level must be an integer in 1\.\.3"):
+        lowpass_gain(WaveletSpec("haar", 3, "undecimated"), level)
+
+
 def test_approximation_chain_is_the_forward_cascade():
     # a_j of the chain is bit-identical to the approximation a j-level
     # forward transform ends on
