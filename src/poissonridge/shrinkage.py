@@ -40,8 +40,8 @@ def soft_threshold(w, tau):
 class BandNoiseModel:
     """Per-coefficient variance prediction for one detail band.
 
-    scale is sqrt of the median predicted variance and sets the unit of
-    the threshold grid.
+    scale is sqrt of the median predicted variance (0 for an empty band)
+    and sets the unit of this band's threshold grid.
     """
 
     variances: np.ndarray
@@ -53,16 +53,15 @@ class ThresholdPolicy:
     """Selector choice and threshold grid layout.
 
     grid runs from 0 to grid_max times the band noise scale in
-    grid_points steps. per_band selects one threshold per decomposition
-    level (coefficients pooled across the projection batch); when False
-    a single threshold is selected for all detail bands jointly.
-    The fixed selector bypasses selection: tau = fixed_scale * scale.
+    grid_points steps. Every detail band, one per decomposition level
+    (coefficients pooled across the projection batch), gets its own
+    threshold. The fixed selector bypasses selection:
+    tau = fixed_scale * scale.
     """
 
     selector: str = "sure"
     grid_points: int = 51
     grid_max: float = 5.0
-    per_band: bool = True
     fixed_scale: float = 3.0
 
     def __post_init__(self):
@@ -113,13 +112,9 @@ def estimate_band_noise(band, approx, spec, level):
             f"band and approximation must be co-located, got shapes "
             f"{band.shape} and {approx.shape}")
     variances = np.clip(approx, 0.0, None) / gain
-    return BandNoiseModel(variances=variances, scale=_median_scale(variances))
-
-
-def _median_scale(variances):
-    """sqrt of the median variance (0 for no variances): the grid unit."""
     med = float(np.median(variances)) if variances.size else 0.0
-    return float(np.sqrt(max(med, 0.0)))
+    return BandNoiseModel(variances=variances,
+                          scale=float(np.sqrt(max(med, 0.0))))
 
 
 def threshold_grid(policy, scale):
@@ -254,7 +249,7 @@ def _oracle_threshold(w, ref, grid):
 
 
 def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):
-    """One threshold per detail band (or one shared, per policy).
+    """One threshold per detail band, each selected on that band alone.
 
     noise_models is a list of BandNoiseModel, finest level first, and
     reference (optional) a pyramid of clean coefficients whose detail
@@ -275,18 +270,5 @@ def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):
             raise ValueError(
                 f"reference detail bands {ref_shapes} do not match the "
                 f"pyramid's {shapes}")
-    if policy.per_band:
-        return [select_threshold(d, nm, policy, r)
-                for d, nm, r in zip(details, noise_models, refs)]
-    # pooled: a single tau across every detail coefficient
-    w = np.concatenate([np.asarray(d, dtype=float).ravel() for d in details])
-    v = np.concatenate([np.asarray(nm.variances, dtype=float).ravel()
-                        for nm in noise_models])
-    pooled_noise = BandNoiseModel(variances=v, scale=_median_scale(v))
-    pooled_ref = None
-    if reference is not None:
-        pooled_ref = np.concatenate(
-            [np.asarray(r, dtype=float).ravel() for r in refs])
-    tau = select_threshold(w, pooled_noise, policy, pooled_ref)
-    return [tau] * len(details)
-
+    return [select_threshold(d, nm, policy, r)
+            for d, nm, r in zip(details, noise_models, refs)]

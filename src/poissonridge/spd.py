@@ -63,7 +63,7 @@ def moment_match(atom, intensities):
     Parameters
     ----------
     atom : array_like
-        Analysis weights psi_i.
+        Analysis weights psi_i, finite.
     intensities : array_like
         Poisson rates lambda_i, same length, finite and non-negative.
 
@@ -85,6 +85,8 @@ def moment_match(atom, intensities):
         raise ValueError(
             f"atom and intensities must be equal-length 1-D, got {psi.shape} "
             f"and {lam.shape}")
+    if not np.isfinite(psi).all():
+        raise ValueError("atom weights must be finite")
     if not np.isfinite(lam).all():
         raise ValueError("intensities must be finite")
     if lam.min(initial=0.0) < 0:

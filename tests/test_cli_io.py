@@ -76,6 +76,10 @@ def test_errors_carry_line_number_and_field_name():
     with pytest.raises(ConfigError,
                        match=r"^line 2: unknown key 'phantom\.peak_factor'"):
         parse_config("preset = pet\nphantom.peak_factor = 2\n")
+    # every detail band gets its own threshold; there is no pooled switch
+    with pytest.raises(ConfigError,
+                       match=r"^line 2: unknown key 'policy\.per_band'"):
+        parse_config("seed = 0\npolicy.per_band = false\n")
 
 
 def test_component_validation_is_wrapped_with_location():

@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from poissonridge.config import DEFAULTS_TABLE
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -14,3 +16,15 @@ def test_quick_start_prints_what_the_readme_says(capsys):
     exec(code, {})
     printed = [float(v) for v in capsys.readouterr().out.split()]
     assert [round(v, 3) for v in printed] == claimed
+
+
+def test_key_block_lists_the_defaults_table_keys_in_order():
+    # the command-line section says its key block is the same list as
+    # config.DEFAULTS_TABLE; the first column of each must agree
+    section = README.read_text(encoding="utf-8").split(
+        "## Command line", 1)[1].split("\n## ", 1)[0]
+    after = section.split("`config.DEFAULTS_TABLE` is the same list", 1)[1]
+    block = after.split("```\n", 1)[1].split("```", 1)[0]
+    readme_keys = [line.split()[0] for line in block.splitlines() if line.strip()]
+    table_keys = [line.split()[0] for line in DEFAULTS_TABLE.splitlines()[1:]]
+    assert readme_keys == table_keys

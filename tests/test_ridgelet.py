@@ -111,20 +111,18 @@ def test_projection_pyramid_views_columns():
         assert np.allclose(rec, direct.data[:, c], atol=1e-10)
 
 
-@pytest.mark.parametrize("per_band", [True, False])
-def test_sinogram_entry_soft_thresholds_details_at_returned_taus(per_band):
+def test_sinogram_entry_soft_thresholds_details_at_returned_taus():
     # the estimate is the synthesis of the analysis with every detail
     # band soft-thresholded at its reported tau, approximation unchanged
     counts = np.random.default_rng(5).poisson(4.0, size=(32, 6))
     wavelet = WaveletSpec("haar", 3, "undecimated")
     cfg = DenoiseConfig(wavelet=wavelet, entry="sinogram",
                         clamp_negative=False,
-                        policy=ThresholdPolicy(selector="fixed", fixed_scale=1.0,
-                                               per_band=per_band))
+                        policy=ThresholdPolicy(selector="fixed", fixed_scale=1.0))
     result = denoise_full(counts, cfg)
     taus = result.thresholds
     assert len(taus) == 3 and min(taus) > 0
-    assert (len(set(taus)) > 1) == per_band
+    assert len(set(taus)) > 1
     pyr = dwt_forward(counts.astype(float), wavelet)
     shrunk = replace(pyr, details=[soft_threshold(d, tau)
                                    for d, tau in zip(pyr.details, taus)])
@@ -411,7 +409,6 @@ def denoise_cases(draw):
         selector=selector,
         grid_points=draw(st.integers(2, 60)),
         grid_max=draw(st.floats(0.1, 10.0)),
-        per_band=draw(st.booleans()),
         fixed_scale=draw(st.floats(0.0, 6.0)))
     cfg = DenoiseConfig(transform=transform, wavelet=wav, policy=policy,
                         entry=draw(st.sampled_from(["image", "sinogram"])))

@@ -92,6 +92,9 @@ def test_policy_validation():
         ThresholdPolicy(grid_points=1)
     with pytest.raises(ValueError):
         ThresholdPolicy(grid_max=0.0)
+    # every detail band gets its own threshold; there is no pooled switch
+    with pytest.raises(TypeError, match="per_band"):
+        ThresholdPolicy(per_band=True)
     # long and short selector spellings are the same policy
     assert ThresholdPolicy(selector="sure-gaussian-approx").selector == "sure"
     assert ThresholdPolicy(selector="oracle").selector == "oracle-erm"
@@ -401,26 +404,13 @@ def noise_for(pyr, value=1.0):
             for d in pyr.details]
 
 
-def test_per_band_thresholds_differ_pooled_shared():
+def test_per_band_thresholds_one_per_band():
     pyr = make_pyramid(1)
     models = noise_for(pyr)
-    per = select_pyramid_thresholds(pyr, ThresholdPolicy(selector="sure"), models)
-    assert len(per) == len(pyr.details)
-    pooled = select_pyramid_thresholds(
-        pyr, ThresholdPolicy(selector="sure", per_band=False), models)
-    assert len(set(pooled)) == 1
-
-
-def test_pooled_matches_concatenated_selection():
-    pyr = make_pyramid(2)
-    models = noise_for(pyr, value=2.0)
-    policy = ThresholdPolicy(selector="sure", per_band=False)
-    pooled = select_pyramid_thresholds(pyr, policy, models)
-    w = np.concatenate([d.ravel() for d in pyr.details])
-    v = np.concatenate([m.variances.ravel() for m in models])
-    direct = select_threshold(
-        w, BandNoiseModel(variances=v, scale=np.sqrt(np.median(v))), policy)
-    assert pooled[0] == direct
+    policy = ThresholdPolicy(selector="sure")
+    per = select_pyramid_thresholds(pyr, policy, models)
+    assert per == [select_threshold(d, m, policy)
+                   for d, m in zip(pyr.details, models)]
 
 
 def test_threshold_count_mismatch():
@@ -429,14 +419,12 @@ def test_threshold_count_mismatch():
         select_pyramid_thresholds(pyr, ThresholdPolicy(), noise_for(pyr)[:1])
 
 
-@pytest.mark.parametrize("per_band", [True, False])
 @pytest.mark.parametrize("ref_levels, ref_length", [(2, 32), (3, 16)])
-def test_reference_pyramid_must_match_the_bands(per_band, ref_levels,
-                                                 ref_length):
+def test_reference_pyramid_must_match_the_bands(ref_levels, ref_length):
     # zipping a 2-level reference with 3 bands leaves the third unshrunk
     pyr = make_pyramid(4, levels=3)
     ref = dwt_forward(np.ones(ref_length),
                       WaveletSpec("haar", ref_levels, "undecimated"))
-    policy = ThresholdPolicy(selector="oracle-erm", per_band=per_band)
+    policy = ThresholdPolicy(selector="oracle-erm")
     with pytest.raises(ValueError, match="reference detail bands"):
         select_pyramid_thresholds(pyr, policy, noise_for(pyr), reference=ref)

@@ -45,6 +45,10 @@ def test_moment_match_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="intensities must be finite"):
             moment_match(np.ones(3), np.array([1.0, bad, 2.0]))
+    # a NaN weight joins neither sign class and would be dropped unseen
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="atom weights must be finite"):
+            moment_match(np.array([bad, -1.0, 1.0]), np.array([1.0, 1.0, 2.0]))
 
 
 def test_one_sided_and_empty_atoms():
@@ -116,6 +120,9 @@ def test_pmf_validation():
     for tail in (0.0, np.nan, 1.0, 2.0, -1e-12):
         with pytest.raises(ValueError, match=r"tail must be in \(0, 1\)"):
             wavelet_coeff_dist([1.0, -1.0], [1.0, 1.0], tail=tail)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="atom weights must be finite"):
+            wavelet_coeff_dist([bad, -1.0, 1.0], [1.0, 1.0, 2.0])
 
 
 def test_sampling_deterministic_and_moment_faithful():
