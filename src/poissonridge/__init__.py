@@ -23,8 +23,7 @@ from .seeding import derive_rng, derive_seed_sequence
 from .shrinkage import (BandNoiseModel, ThresholdPolicy, estimate_band_noise,
                         select_pyramid_thresholds, select_threshold,
                         soft_threshold, threshold_grid)
-from .spd import (SpdParams, moment_match, spd_mean_var, spd_pmf, spd_sample,
-                  wavelet_coeff_dist)
+from .spd import SpdParams, moment_match, spd_pmf, wavelet_coeff_dist
 from .svgplot import emit_scatter_svg
 from .wavelet import (WaveletPyramid, WaveletSpec, approximation_chain,
                       dwt_forward, dwt_inverse, lowpass_gain, wavelet_atom)
@@ -44,7 +43,7 @@ __all__ = [
     "read_sinogram", "ridgelet_forward", "ridgelet_inverse",
     "run_distribution_experiment", "sample_poisson",
     "select_pyramid_thresholds", "select_threshold", "soft_threshold",
-    "spd_mean_var", "spd_pmf", "spd_sample", "ssim_global",
+    "spd_pmf", "ssim_global",
     "threshold_grid", "validate_intensity", "variance_vs_intensity",
     "wavelet_atom", "wavelet_coeff_dist", "write_csv", "write_pgm",
     "write_sinogram",

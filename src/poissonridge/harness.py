@@ -465,7 +465,7 @@ def variance_vs_intensity(report):
     """OLS fit of empirical variance on the noiseless driver intensity.
 
     Accepts a DistReport, a list of them (scatters pooled), or a raw
-    (n, 2) array. Needs at least 3 points.
+    (n, 2) array. Needs at least 3 points, all finite.
     """
     if isinstance(report, DistReport):
         pts = report.scatter
@@ -475,4 +475,6 @@ def variance_vs_intensity(report):
         pts = np.asarray(report, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("scatter must be an (n, 2) array")
+    if not np.isfinite(pts).all():
+        raise ValueError("scatter points must be finite")
     return _ols(pts[:, 0], pts[:, 1])

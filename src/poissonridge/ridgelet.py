@@ -178,9 +178,10 @@ def denoise_full(noisy, config, reference=None):
                                     reference)
         if config.clamp_negative:
             est = np.clip(est, 0.0, None)
+        # _nonnegative_grid hands back a float64 input itself: copy it
         return DenoiseResult(image=est, thresholds=taus,
                              noisy_sinogram=noisy.copy(),
-                             denoised_sinogram=est.copy())
+                             denoised_sinogram=est)
     if config.transform.variant != "rotation":
         raise ValueError(
             f"image entry needs the rotation variant, got "

@@ -8,14 +8,15 @@ side's mean and variance are matched exactly:
     lam_side = (sum lam |psi|)^2 / (sum lam psi^2)
     alpha_side = (sum lam psi^2) / (sum lam |psi|)
 
-W is then modeled as alpha_plus * P - alpha_minus * M (difference
-variant) with P ~ Po(lam_plus), M ~ Po(lam_minus) independent; the sum
-variant alpha_plus * P + alpha_minus * M models the magnitude-sum
-variable used alongside it. When every |psi_i| on a side is equal the
-side's model is exact, not approximate; unit weights reduce the
-difference to a Skellam law.
+W is then modeled as alpha_plus * P - alpha_minus * M with
+P ~ Po(lam_plus), M ~ Po(lam_minus) independent. When every |psi_i| on
+a side is equal the side's model is exact, not approximate; unit
+weights reduce the difference to a Skellam law.
 
-The pmf functions take their Poisson pmf and tail cut from ``_dists``
+Nothing else in the package calls this module (the denoiser takes its
+variances from ``shrinkage.estimate_band_noise``); it is the model that
+acceptance criterion 3 checks against the exact coefficient law. The
+pmf functions take their Poisson pmf and tail cut from ``_dists``
 (scipy.special) where they call them, so importing the package loads
 numpy only.
 """
@@ -25,21 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import derive_rng
-
-__all__ = [
-    "SpdParams",
-    "moment_match",
-    "spd_mean_var",
-    "spd_pmf",
-    "spd_sample",
-    "wavelet_coeff_dist",
-]
-
-_VARIANTS = ("difference", "sum")
+__all__ = ["SpdParams", "moment_match", "spd_pmf", "wavelet_coeff_dist"]
 
 # Poisson tails below this are dropped from pmf enumerations
 _TAIL = 1e-12
+
+# spd_pmf counts a lattice outcome within this distance of w as w
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,11 +43,6 @@ class SpdParams:
     lambda_plus: float
     alpha_minus: float
     lambda_minus: float
-
-
-def _check_variant(variant):
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {_VARIANTS}")
 
 
 def moment_match(atom, intensities):
@@ -104,22 +92,6 @@ def moment_match(atom, intensities):
     return SpdParams(alpha_plus=ap, lambda_plus=lp, alpha_minus=am, lambda_minus=lm)
 
 
-def _sign(variant):
-    # weight of the minus class: subtracted in the difference variant
-    return -1.0 if variant == "difference" else 1.0
-
-
-def spd_mean_var(params, variant="difference"):
-    """Mean and variance of the modeled coefficient."""
-    _check_variant(variant)
-    plus = params.alpha_plus * params.lambda_plus
-    minus = params.alpha_minus * params.lambda_minus
-    var = (params.alpha_plus ** 2 * params.lambda_plus
-           + params.alpha_minus ** 2 * params.lambda_minus)
-    mean = plus - minus if variant == "difference" else plus + minus
-    return mean, var
-
-
 def _tail_cut(lam):
     # smallest k with the upper Poisson tail below _TAIL
     if lam <= 0:
@@ -136,18 +108,17 @@ def _side_pmf(lam):
     return poisson_pmf(np.arange(_tail_cut(lam) + 1), lam) if lam > 0 else np.ones(1)
 
 
-def spd_pmf(params, w, variant="difference", tol=1e-9):
-    """Probability that the modeled coefficient equals w (within tol).
+def spd_pmf(params, w):
+    """Probability that the modeled coefficient equals w.
 
     Enumerates the (p, m) count lattice with Poisson tails below 1e-12
     truncated, and accumulates the outcomes whose value
-    alpha_plus * p -/+ alpha_minus * m lies within tol of w, a finite
-    tol > 0. Accepts a scalar or an array of outcome values.
+    alpha_plus * p - alpha_minus * m lies within 1e-9 of w. Accepts a
+    finite scalar or an array of finite outcome values.
     """
-    _check_variant(variant)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    sign = _sign(variant)
+    arr = np.asarray(w, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"outcome values w must be finite, got {w!r}")
     ap, am = params.alpha_plus, params.alpha_minus
     p_pmf = _side_pmf(params.lambda_plus)
     m_pmf = _side_pmf(params.lambda_minus)
@@ -156,48 +127,33 @@ def spd_pmf(params, w, variant="difference", tol=1e-9):
 
     def one(wv):
         if am == 0.0:
-            hits = np.abs(ap * p_range - wv) <= tol
+            hits = np.abs(ap * p_range - wv) <= _TOL
             return float(p_pmf[hits].sum())
         if ap == 0.0:
-            hits = np.abs(sign * am * m_range - wv) <= tol
+            hits = np.abs(am * m_range + wv) <= _TOL
             return float(m_pmf[hits].sum())
-        # solve alpha_plus p + sign * alpha_minus m = w for integer m
-        m_idx = np.rint((wv - ap * p_range) / (sign * am)).astype(int)
+        # solve alpha_plus p - alpha_minus m = w for integer m
+        m_idx = np.rint((ap * p_range - wv) / am).astype(int)
         ok = (m_idx >= 0) & (m_idx < m_pmf.size)
-        ok &= np.abs(ap * p_range + sign * am * m_idx - wv) <= tol
+        ok &= np.abs(ap * p_range - am * m_idx - wv) <= _TOL
         return float((p_pmf[ok] * m_pmf[m_idx[ok]]).sum())
 
-    arr = np.asarray(w, dtype=float)
     if arr.ndim == 0:
         return one(float(arr))
     return np.array([one(v) for v in arr.ravel()]).reshape(arr.shape)
 
 
-def spd_sample(params, variant="difference", rng=None, seed=None, size=None):
-    """Draw from the modeled coefficient distribution.
-
-    Returns a scalar when size is None, else an array of that shape.
-    """
-    _check_variant(variant)
-    if rng is None:
-        rng = derive_rng(0 if seed is None else seed, "spd-sample")
-    shape = () if size is None else size
-    p = rng.poisson(params.lambda_plus, shape)
-    m = rng.poisson(params.lambda_minus, shape)
-    out = params.alpha_plus * p + _sign(variant) * params.alpha_minus * m
-    return float(out) if size is None else out
-
-
-def _exact_coeff_pmf(atom, intensities, tail):
+def _exact_coeff_pmf(atom, intensities):
     """Exact pmf of sum psi_i X_i by merging equal-weight coordinates.
 
     Coordinates sharing one psi value pool into a single Poisson of the
     summed rate, which keeps the enumeration lattice small for the
     piecewise-constant atoms this is used on. Returns a dict mapping
     rounded outcome values to probabilities, or None when the grouped
-    enumeration would still be too large.
+    enumeration would still be too large. Outcomes of a pooled count
+    with probability below _TAIL are dropped.
     """
-    from ._dists import poisson_isf, poisson_pmf
+    from ._dists import poisson_pmf
 
     psi = np.asarray(atom, dtype=float)
     lam = np.asarray(intensities, dtype=float)
@@ -209,7 +165,7 @@ def _exact_coeff_pmf(atom, intensities, tail):
         groups[key] = groups.get(key, 0.0) + float(l)
     if not groups:
         return {0.0: 1.0}
-    cuts = [(p, l, int(poisson_isf(tail, l)) + 1) for p, l in groups.items()]
+    cuts = [(p, l, _tail_cut(l)) for p, l in groups.items()]
     if math.prod(hi + 1 for _, _, hi in cuts) > 5_000_000:
         return None
     dist = {0.0: 1.0}
@@ -219,7 +175,7 @@ def _exact_coeff_pmf(atom, intensities, tail):
         new = {}
         for value, prob in dist.items():
             for c, pc in zip(counts, pmf):
-                if pc < tail:
+                if pc < _TAIL:
                     continue
                 key = round(value + p * c, 9)
                 new[key] = new.get(key, 0.0) + prob * pc
@@ -249,7 +205,7 @@ def _tv_between(exact, model, gap=1e-8):
     return 0.5 * tv
 
 
-def wavelet_coeff_dist(atom, intensities, variant="difference", tail=1e-12):
+def wavelet_coeff_dist(atom, intensities):
     """Model one coefficient and report the model's quality.
 
     Returns
@@ -260,17 +216,13 @@ def wavelet_coeff_dist(atom, intensities, variant="difference", tail=1e-12):
         pooling equal-weight coordinates (the model's two coordinates
         are its scaled sign-class counts). quality is None when either
         enumeration is infeasible. Both drop Poisson outcomes whose
-        probability is below tail, which must lie in (0, 1).
+        probability is below 1e-12.
     """
-    _check_variant(variant)
-    if not 0 < tail < 1:
-        raise ValueError(f"tail must be in (0, 1), got {tail}")
     params = moment_match(atom, intensities)
-    exact = _exact_coeff_pmf(atom, intensities, tail)
+    exact = _exact_coeff_pmf(atom, intensities)
     # the model is itself a weighted sum of two Poisson counts
-    model = _exact_coeff_pmf(
-        [params.alpha_plus, _sign(variant) * params.alpha_minus],
-        [params.lambda_plus, params.lambda_minus], tail)
+    model = _exact_coeff_pmf([params.alpha_plus, -params.alpha_minus],
+                             [params.lambda_plus, params.lambda_minus])
     if exact is None or model is None:
         return params, None
     return params, float(_tv_between(exact, model))

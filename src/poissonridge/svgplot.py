@@ -27,21 +27,28 @@ def emit_scatter_svg(scatter, path, fit=None, title="", xlabel="intensity",
     Parameters
     ----------
     scatter : (n, 2) array
-        x, y point pairs; at least one point.
+        Finite x, y point pairs; at least one point.
     path : str
     fit : (slope, intercept) or LineFit, optional
-        Drawn across the x range with the slope annotated to 6 decimals.
+        Finite; drawn across the x range with the slope annotated to 6
+        decimals.
     title, xlabel, ylabel : str
     """
     pts = np.asarray(scatter, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
         raise ValueError("scatter must be a nonempty (n, 2) array")
+    if not np.isfinite(pts).all():
+        raise ValueError("scatter points must be finite")
+    if fit is not None:
+        slope, intercept = float(fit[0]), float(fit[1])
+        if not np.isfinite([slope, intercept]).all():
+            raise ValueError(f"fit must be finite, got slope {slope!r} and "
+                             f"intercept {intercept!r}")
 
     x, y = pts[:, 0], pts[:, 1]
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(y.min()), float(y.max())
     if fit is not None:
-        slope, intercept = float(fit[0]), float(fit[1])
         y_lo = min(y_lo, slope * x_lo + intercept, slope * x_hi + intercept)
         y_hi = max(y_hi, slope * x_lo + intercept, slope * x_hi + intercept)
     x_pad = (x_hi - x_lo) * 0.05 or max(abs(x_lo), 1.0) * 0.05

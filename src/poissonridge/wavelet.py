@@ -283,6 +283,9 @@ def wavelet_atom(spec, level, k, n, band="detail"):
     if band not in ("detail", "approximation"):
         raise ValueError(f"unknown band {band!r}")
     _check_level(spec, level)
+    for name, value in (("position", k), ("signal length", n)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     _check_length(n, spec)
     pyr = dwt_forward(np.zeros(n), replace(spec, levels=level))
     coeffs = pyr.details[-1] if band == "detail" else pyr.approximation

@@ -432,6 +432,23 @@ def test_scatter_svg_single_point_no_fit(tmp_path):
         emit_scatter_svg(np.zeros((0, 2)), tmp_path / "none.svg")
 
 
+def test_scatter_svg_rejects_non_finite_points_and_fit(tmp_path):
+    pts = np.column_stack([np.linspace(0, 5, 9), np.linspace(0, 5, 9)])
+    p = tmp_path / "bad.svg"
+    for bad in (np.nan, np.inf, -np.inf):
+        # NaN would fail in the tick range, inf in np.arange
+        for col in (0, 1):
+            holed = pts.copy()
+            holed[3, col] = bad
+            with pytest.raises(ValueError, match="scatter points must be finite"):
+                emit_scatter_svg(holed, p)
+        # a NaN fit would be written into the SVG as nan coordinates
+        for fit in (LineFit(bad, 0.0, 1.0), LineFit(1.0, bad, 1.0), (bad, 0.0)):
+            with pytest.raises(ValueError, match="fit must be finite"):
+                emit_scatter_svg(pts, p, fit=fit)
+    assert not p.exists()
+
+
 # --- command line ----------------------------------------------------------
 
 def write_cfg(tmp_path, body):

@@ -211,6 +211,13 @@ def test_variance_vs_intensity_inputs(gdb_reports):
         variance_vs_intensity(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         variance_vs_intensity(np.zeros((5, 3)))
+    # a non-finite point would turn the whole fit into LineFit(nan, nan, nan)
+    for bad in (np.nan, np.inf, -np.inf):
+        for col in (0, 1):
+            holed = r.scatter.copy()
+            holed[2, col] = bad
+            with pytest.raises(ValueError, match="scatter points must be finite"):
+                variance_vs_intensity(holed)
 
 
 # --- one sample at a time: the loop the batched harness must reproduce ----

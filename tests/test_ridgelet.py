@@ -164,6 +164,8 @@ def test_sinogram_entry_skips_transform():
                         policy=ThresholdPolicy(selector="sure"))
     res = denoise_full(counts, cfg)
     assert np.array_equal(res.noisy_sinogram, counts)
+    # a float64 input passes validation as the caller's own array
+    assert not np.shares_memory(res.noisy_sinogram, counts)
     assert res.image.shape == counts.shape
     assert np.array_equal(res.image, res.denoised_sinogram)
     assert len(res.thresholds) == 2

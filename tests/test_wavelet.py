@@ -163,6 +163,14 @@ def test_atom_validation():
         wavelet_atom(spec, 1, 8, 16)  # band length is 8, k must be < 8
     with pytest.raises(ValueError):
         wavelet_atom(spec, 1, 0, 16, band="scaling")
+    # 1.5 would fail deep inside numpy indexing and 16.0 inside np.zeros
+    for k in (1.5, 1.0, np.float64(2.0), "1"):
+        with pytest.raises(ValueError, match="position must be an integer"):
+            wavelet_atom(spec, 1, k, 16)
+    for n in (16.0, np.float64(16.0), 16.5):
+        with pytest.raises(ValueError, match="signal length must be an integer"):
+            wavelet_atom(spec, 1, 1, n)
+    assert wavelet_atom(spec, np.int64(1), np.int64(1), np.int64(16)).shape == (16,)
 
 
 def test_haar_atoms_have_equal_magnitude_entries():
