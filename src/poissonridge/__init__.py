@@ -17,8 +17,7 @@ from .phantoms import (Bar, Disk, PhantomSpec, make_phantom, sample_poisson,
                        validate_intensity)
 from .radon import (Sinogram, TransformConfig, drt_gdb, drt_rotation,
                     fbp_invert, propagate_intensity)
-from .ridgelet import (DenoiseConfig, DenoiseResult, RidgeletCoeffs, denoise,
-                       denoise_full, ridgelet_forward, ridgelet_inverse)
+from .ridgelet import DenoiseConfig, DenoiseResult, denoise, denoise_full
 from .seeding import derive_rng, derive_seed_sequence
 from .shrinkage import (BandNoiseModel, ThresholdPolicy, estimate_band_noise,
                         select_pyramid_thresholds, select_threshold,
@@ -33,15 +32,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Bar", "BandNoiseModel", "ConfigError", "DenoiseConfig",
     "DenoiseResult", "Disk", "DistReport", "LineFit", "PhantomSpec",
-    "RidgeletCoeffs", "RunConfig", "Sinogram", "SpdParams",
+    "RunConfig", "Sinogram", "SpdParams",
     "ThresholdPolicy", "TransformConfig", "WaveletPyramid", "WaveletSpec",
     "approximation_chain", "denoise", "denoise_full", "derive_rng",
     "derive_seed_sequence", "drt_gdb", "drt_rotation", "dwt_forward",
     "dwt_inverse", "emit_scatter_svg", "estimate_band_noise", "fbp_invert",
     "load_config", "lowpass_gain", "make_phantom", "moment_match", "mse",
     "parse_config", "propagate_intensity", "psnr", "read_csv", "read_pgm",
-    "read_sinogram", "ridgelet_forward", "ridgelet_inverse",
-    "run_distribution_experiment", "sample_poisson",
+    "read_sinogram", "run_distribution_experiment", "sample_poisson",
     "select_pyramid_thresholds", "select_threshold", "soft_threshold",
     "spd_pmf", "ssim_global",
     "threshold_grid", "validate_intensity", "variance_vs_intensity",

@@ -246,7 +246,7 @@ def _build_parser():
     p = sub.add_parser("denoise", help="simulate, denoise and score")
     common(p)
     p.add_argument("--selector", help="override the threshold selector "
-                                      "(oracle, sure, fixed)")
+                                      "(oracle-erm, sure, fixed)")
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("metrics", help="compare two stored grids")

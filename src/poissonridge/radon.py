@@ -511,8 +511,8 @@ def fbp_invert(sino):
     Ramp-filters each projection (spatial-domain kernel, FFT applied,
     zero-padded against circular wrap) and backprojects with linear
     interpolation on the offset axis. The result is the raw
-    reconstruction: the ramp filter's negative lobes are kept, and
-    clipping them is left to the caller (denoise's clamp_negative).
+    reconstruction: the ramp filter's negative lobes are kept; denoise
+    zeroes them in its final estimate.
 
     Angles are walked as in drt_rotation: one _orbit_rows pass per
     orbit reads every member's filtered column and its bin-to-bin slope

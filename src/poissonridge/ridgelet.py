@@ -1,10 +1,14 @@
-"""Ridgelet analysis: 1-D wavelets along the offset axis of a sinogram.
+"""Ridgelet denoising: 1-D wavelets along the offset axis of a sinogram.
 
-The forward transform composes a discrete Radon transform with a 1-D
-wavelet transform of every projection; the inverse runs the wavelet
-synthesis and filtered backprojection. Denoising shrinks the detail
-bands between the two, using the Radon-domain Poisson structure to set
-per-band noise levels.
+denoise_full is the pipeline. In image mode it projects the counts with
+propagate_intensity, runs a 1-D wavelet analysis of every projection,
+soft-thresholds the detail bands at per-band noise levels set from the
+Radon-domain Poisson structure, then runs the wavelet synthesis and
+filtered backprojection and zeroes negative pixels. In sinogram mode it
+shrinks the input's columns directly, with no transform. The bare
+ridgelet transform is the composition of public calls:
+``dwt_forward(propagate_intensity(image, transform).data, wavelet)``
+forward, ``fbp_invert(replace(sino, data=dwt_inverse(pyramid)))`` back.
 """
 
 from dataclasses import dataclass, field, replace
@@ -15,39 +19,21 @@ from .phantoms import _nonnegative_grid
 # drt_rotation is not called here (propagate_intensity projects); the
 # name stays bound because bench/selftest.py checks through it that the
 # benchmark tracer also wraps names re-exported into other modules.
-from .radon import Sinogram, TransformConfig, _check_column_wavelet, \
-    _column_length, drt_rotation, fbp_invert, \
-    propagate_intensity  # noqa: F401
+from .radon import TransformConfig, _check_column_wavelet, _column_length, \
+    drt_rotation, fbp_invert, propagate_intensity  # noqa: F401
 from .shrinkage import ThresholdPolicy, estimate_band_noise, \
     select_pyramid_thresholds, soft_threshold
-from .wavelet import WaveletPyramid, WaveletSpec, _analysis_cascade, \
-    _check_length, dwt_forward, dwt_inverse
+from .wavelet import WaveletSpec, _analysis_cascade, _check_length, \
+    dwt_forward, dwt_inverse
 
 __all__ = [
-    "RidgeletCoeffs",
     "DenoiseConfig",
     "DenoiseResult",
-    "ridgelet_forward",
-    "ridgelet_inverse",
     "denoise",
     "denoise_full",
 ]
 
 _ENTRIES = ("image", "sinogram")
-
-
-@dataclass
-class RidgeletCoeffs:
-    """Per-projection wavelet pyramids, stored column-wise.
-
-    pyramid bands have shape (band_length, n_projections): column c is
-    the pyramid of projection c. sinogram is the Radon transform the
-    pyramid was taken of; its geometry (variant, image shape, angles,
-    interp) is what the inverse rebuilds the grid from.
-    """
-
-    pyramid: WaveletPyramid
-    sinogram: Sinogram
 
 
 @dataclass
@@ -58,9 +44,8 @@ class DenoiseConfig:
     pixel grid; the pipeline runs the Radon transform first and finishes
     with filtered backprojection) or ``"sinogram"`` (counts already on a
     sinogram grid, denoised in place along the offset axis with no
-    transform or backprojection). clamp_negative zeroes negative pixels
-    of the final estimate; with it off, image mode returns the raw
-    filtered backprojection, negative lobes included.
+    transform or backprojection). Negative pixels of the final estimate
+    are always zeroed; fbp_invert gives the raw backprojection.
     """
 
     transform: TransformConfig = field(
@@ -70,7 +55,6 @@ class DenoiseConfig:
         default_factory=lambda: WaveletSpec("haar", levels=1, mode="undecimated"))
     policy: ThresholdPolicy = field(default_factory=ThresholdPolicy)
     entry: str = "image"
-    clamp_negative: bool = True
 
     def __post_init__(self):
         if self.entry not in _ENTRIES:
@@ -85,39 +69,6 @@ class DenoiseResult:
     thresholds: list
     noisy_sinogram: np.ndarray
     denoised_sinogram: np.ndarray
-
-
-def ridgelet_forward(image, config):
-    """Radon transform then per-projection wavelets.
-
-    Parameters
-    ----------
-    image : ndarray
-        2-D image of non-negative counts or rates; a stack of images,
-        negative values or a wavelet that cannot analyze the image's
-        Radon columns raise ValueError before anything is projected.
-    config : DenoiseConfig
-        Its transform and wavelet fields are used.
-    """
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError(f"image must be 2-D, got shape {image.shape}")
-    _check_column_wavelet(config.wavelet)
-    _check_length(_column_length(image.shape, config.transform), config.wavelet)
-    sino = propagate_intensity(image, config.transform)
-    return RidgeletCoeffs(pyramid=dwt_forward(sino.data, config.wavelet),
-                          sinogram=sino)
-
-
-def ridgelet_inverse(coeffs):
-    """Wavelet synthesis then filtered backprojection.
-
-    Returns the raw backprojection, negative values included. Only
-    rotation-variant coefficients can be backprojected; gdb
-    coefficients raise the fbp error.
-    """
-    return fbp_invert(replace(coeffs.sinogram,
-                              data=dwt_inverse(coeffs.pyramid)))
 
 
 def _shrink_columns(counts, wavelet, policy, reference=None):
@@ -176,8 +127,7 @@ def denoise_full(noisy, config, reference=None):
         _check_length(noisy.shape[0], config.wavelet)
         est, taus = _shrink_columns(noisy, config.wavelet, config.policy,
                                     reference)
-        if config.clamp_negative:
-            est = np.clip(est, 0.0, None)
+        est = np.clip(est, 0.0, None)
         # _nonnegative_grid hands back a float64 input itself: copy it
         return DenoiseResult(image=est, thresholds=taus,
                              noisy_sinogram=noisy.copy(),
@@ -200,9 +150,7 @@ def denoise_full(noisy, config, reference=None):
         sino = replace(pair, data=noisy_data)
     est_data, taus = _shrink_columns(sino.data, config.wavelet, config.policy,
                                      ref_data)
-    image = fbp_invert(replace(sino, data=est_data))
-    if config.clamp_negative:
-        image = np.clip(image, 0.0, None)
+    image = np.clip(fbp_invert(replace(sino, data=est_data)), 0.0, None)
     return DenoiseResult(image=image, thresholds=taus,
                          noisy_sinogram=sino.data,
                          denoised_sinogram=est_data)

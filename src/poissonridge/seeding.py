@@ -27,11 +27,14 @@ def derive_seed_sequence(seed, stage, index=0):
         Per-item counter inside the stage (sample number, partition id).
 
     A seed or index that is not an integer (1.5, 2.0) raises
-    ValueError rather than being truncated onto another stream.
+    ValueError rather than being truncated onto another stream, and so
+    does a stage that is not a str.
     """
     for name, value in (("seed", seed), ("index", index)):
         if not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(stage, str):
+        raise ValueError(f"stage must be a str, got {stage!r}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     digest = hashlib.sha256(stage.encode("utf-8")).digest()

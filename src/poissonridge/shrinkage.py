@@ -25,6 +25,7 @@ __all__ = [
     "estimate_band_noise",
     "select_threshold",
     "select_pyramid_thresholds",
+    "threshold_grid",
 ]
 
 
@@ -65,8 +66,6 @@ class ThresholdPolicy:
     fixed_scale: float = 3.0
 
     def __post_init__(self):
-        aliases = {"sure-gaussian-approx": "sure", "oracle": "oracle-erm"}
-        self.selector = aliases.get(self.selector, self.selector)
         if self.selector not in ("oracle-erm", "sure", "fixed"):
             raise ValueError(f"unknown selector {self.selector!r}")
         if not isinstance(self.grid_points, numbers.Integral):

@@ -37,12 +37,22 @@ _TOL = 1e-9
 
 @dataclass(frozen=True)
 class SpdParams:
-    """Matched scales and rates for the two sign classes."""
+    """Matched scales and rates for the two sign classes.
+
+    Every field must be finite and non-negative; anything else raises
+    ValueError here, not a wrong pmf or a failure inside spd_pmf.
+    """
 
     alpha_plus: float
     lambda_plus: float
     alpha_minus: float
     lambda_minus: float
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}")
 
 
 def moment_match(atom, intensities):

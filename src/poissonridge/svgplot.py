@@ -33,7 +33,14 @@ def emit_scatter_svg(scatter, path, fit=None, title="", xlabel="intensity",
         Finite; drawn across the x range with the slope annotated to 6
         decimals.
     title, xlabel, ylabel : str
+        Plain text; markup characters are escaped.
+
+    Raises ValueError if the padded axis ranges are not finite (points
+    or fitted line ends near the float limit).
     """
+    # saxutils pulls in urllib.request; load it only when a plot is drawn
+    from xml.sax.saxutils import escape
+
     pts = np.asarray(scatter, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
         raise ValueError("scatter must be a nonempty (n, 2) array")
@@ -55,6 +62,11 @@ def emit_scatter_svg(scatter, path, fit=None, title="", xlabel="intensity",
     y_pad = (y_hi - y_lo) * 0.05 or max(abs(y_lo), 1.0) * 0.05
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    # a finite span implies finite bounds
+    if not np.isfinite([x_hi - x_lo, y_hi - y_lo]).all():
+        raise ValueError(
+            f"axis ranges overflow: x [{x_lo!r}, {x_hi!r}], "
+            f"y [{y_lo!r}, {y_hi!r}] after padding")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -101,13 +113,14 @@ def emit_scatter_svg(scatter, path, fit=None, title="", xlabel="intensity",
                      f'fill="crimson">slope = {slope:.6f}</text>')
 
     if title:
-        parts.append(f'<text x="{_WIDTH / 2:.0f}" y="24" {font} '
-                     f'font-size="16" text-anchor="middle">{title}</text>')
+        parts.append(f'<text x="{_WIDTH / 2:.0f}" y="24" '
+                     f'font-family="sans-serif" font-size="16" '
+                     f'text-anchor="middle">{escape(title)}</text>')
     parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.0f}" '
                  f'y="{_HEIGHT - 12}" {font} text-anchor="middle">'
-                 f'{xlabel}</text>')
+                 f'{escape(xlabel)}</text>')
     parts.append(f'<text x="16" y="{_MARGIN_T + plot_h / 2:.0f}" {font} '
                  f'text-anchor="middle" transform="rotate(-90 16 '
-                 f'{_MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>')
+                 f'{_MARGIN_T + plot_h / 2:.0f})">{escape(ylabel)}</text>')
     parts.append("</svg>\n")
     _atomic_write(path, "\n".join(parts).encode("utf-8"))

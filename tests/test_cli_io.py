@@ -1,5 +1,6 @@
 import re
 from dataclasses import fields, is_dataclass
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -109,10 +110,12 @@ def test_pet_preset_applies_first_then_overrides():
 
 
 def test_selector_aliases_normalize():
-    cfg = parse_config("policy.selector = sure-gaussian-approx\n")
-    assert cfg.policy.selector == "sure"
-    cfg = parse_config("policy.selector = oracle\n")
-    assert cfg.policy.selector == "oracle-erm"
+    # the old aliases no longer normalize: each selector has one
+    # spelling (sure, oracle-erm or fixed) and the others fail at parse
+    for old in ("sure-gaussian-approx", "oracle"):
+        with pytest.raises(ConfigError, match=(
+                f"line 1: policy.selector: unknown selector '{old}'")):
+            parse_config(f"policy.selector = {old}\n")
 
 
 def test_output_dir_env_override(monkeypatch):
@@ -449,6 +452,28 @@ def test_scatter_svg_rejects_non_finite_points_and_fit(tmp_path):
     assert not p.exists()
 
 
+@pytest.mark.parametrize("pts, fit", [
+    ([[0.0, 0.0], [1e308, 1.0]], (1e10, 0.0)),
+    ([[-1e308, 0.0], [1e308, 1.0]], None),
+])
+def test_scatter_svg_rejects_axes_that_overflow(tmp_path, pts, fit):
+    # finite inputs whose padded range or fitted line end overflows used
+    # to fail inside the tick layout ("arange: cannot compute length")
+    p = tmp_path / "huge.svg"
+    with pytest.raises(ValueError, match="axis ranges overflow"):
+        emit_scatter_svg(np.array(pts), p, fit=fit)
+    assert not p.exists()
+
+
+def test_scatter_svg_is_well_formed_xml_with_markup_in_labels(tmp_path):
+    p = tmp_path / "labels.svg"
+    emit_scatter_svg(np.array([[0.0, 1.0], [2.0, 3.0]]), p, fit=(1.0, 1.0),
+                     title="a < b & c", xlabel="<x>", ylabel="y & z")
+    root = ElementTree.parse(p).getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a < b & c", "<x>", "y & z"} <= set(texts)
+
+
 # --- command line ----------------------------------------------------------
 
 def write_cfg(tmp_path, body):
@@ -573,7 +598,7 @@ phantom.background_intensity = 1.0
 transform.angles = 20
 output_dir = {tmp_path / 'out'}
 """)
-    assert main(["denoise", "-c", cfg, "--selector", "oracle"]) == 0
+    assert main(["denoise", "-c", cfg, "--selector", "oracle-erm"]) == 0
     capsys.readouterr()
     report = (tmp_path / "out" / "run_report.txt").read_text()
     assert "oracle-erm" in report

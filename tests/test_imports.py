@@ -6,6 +6,7 @@ times as long to import and three times the memory. Each check runs in a
 fresh interpreter, because pytest has scipy loaded already.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -115,3 +116,20 @@ def test_model_checks_load_scipy_where_they_run(tmp_path):
     params = pr.moment_match([1.0, -1.0], [2.0, 3.0])
     assert result["pmf"] == pr.spd_pmf(params, -1.0).hex()
     assert result["tv"] == pr.wavelet_coeff_dist([1.0, -1.0], [2.0, 3.0])[1]
+
+
+LAYERS = ["config", "fileio", "harness", "metrics", "phantoms", "radon",
+          "ridgelet", "seeding", "shrinkage", "spd", "svgplot", "wavelet"]
+
+
+def test_package_exports_exactly_the_layer_exports():
+    # cli is the console script's module and DEFAULTS_TABLE is a
+    # documentation string; neither is a package export
+    layer_names = set()
+    for name in LAYERS:
+        module = importlib.import_module(f"poissonridge.{name}")
+        layer_names |= set(module.__all__)
+    layer_names.discard("DEFAULTS_TABLE")
+    assert sorted(pr.__all__) == sorted(layer_names)
+    assert len(pr.__all__) == len(set(pr.__all__))
+    assert all(hasattr(pr, name) for name in pr.__all__)

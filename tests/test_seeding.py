@@ -59,3 +59,12 @@ def test_numpy_integer_seed_and_index_accepted():
 def test_sample_poisson_rejects_non_integer_seed():
     with pytest.raises(ValueError, match="seed must be an integer"):
         sample_poisson(np.ones((4, 4)), seed=2.7)
+
+
+@pytest.mark.parametrize("stage", [5, None, b"mc-sample"])
+def test_non_str_stage_rejected(stage):
+    # an int stage used to fail inside the hash with AttributeError
+    with pytest.raises(ValueError, match="stage must be a str"):
+        derive_seed_sequence(0, stage)
+    with pytest.raises(ValueError, match="stage must be a str"):
+        derive_rng(0, stage)

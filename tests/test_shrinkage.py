@@ -95,9 +95,10 @@ def test_policy_validation():
     # every detail band gets its own threshold; there is no pooled switch
     with pytest.raises(TypeError, match="per_band"):
         ThresholdPolicy(per_band=True)
-    # long and short selector spellings are the same policy
-    assert ThresholdPolicy(selector="sure-gaussian-approx").selector == "sure"
-    assert ThresholdPolicy(selector="oracle").selector == "oracle-erm"
+    # each selector has one spelling; the old aliases are unknown
+    for old in ("sure-gaussian-approx", "oracle"):
+        with pytest.raises(ValueError, match=f"unknown selector '{old}'"):
+            ThresholdPolicy(selector=old)
 
 
 @pytest.mark.parametrize("field, bad, message", [

@@ -50,6 +50,17 @@ def test_moment_match_validation():
             moment_match(np.array([bad, -1.0, 1.0]), np.array([1.0, 1.0, 2.0]))
 
 
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("bad", [-2.0, -1e-300, np.nan, np.inf, -np.inf])
+def test_spd_params_reject_negative_or_non_finite_fields(field, bad):
+    # a negative rate used to read as rate 0, a NaN as a 0.0 pmf after an
+    # invalid cast, and an inf rate failed inside the tail cut
+    values = [1.0, 1.0, 1.0, 1.0]
+    values[field] = bad
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        SpdParams(*values)
+
+
 def test_one_sided_and_empty_atoms():
     params = moment_match(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
     assert params.alpha_minus == 0.0 and params.lambda_minus == 0.0
