@@ -95,8 +95,6 @@ def _parser(convert, expects):
     return parse
 
 
-_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
-          **dict.fromkeys(("false", "0", "no", "off"), False)}
 _SHAPES = {"disk": Disk, "bar": Bar}
 
 
@@ -106,7 +104,6 @@ def _shapes(text):
                  for name, _, args in (part.partition(":") for part in parts))
 
 
-_parse_bool = _parser(lambda text: _BOOLS[text.lower()], "a boolean")
 _parse_structures = _parser(_shapes, "disk:cx,cy,r or bar:x,y,w,h entries")
 
 
@@ -118,7 +115,6 @@ def _format_structures(shapes):
 
 # type of a default -> (parser of a config value, defaults-table text)
 _CODECS = {
-    bool: (_parse_bool, lambda v: str(v).lower()),
     int: (_parser(int, "an integer"), str),
     float: (_parser(float, "a number"), str),
     str: (_parser(str, "text"), str),

@@ -112,16 +112,14 @@ class DistReport:
     empirical_variance: np.ndarray
     predicted_mean: np.ndarray
     predicted_variance: np.ndarray
-    # mean_diff and its CI are computed over per-sample averages, not
-    # over coefficients: coefficients share pixels, so their deviations
-    # carry the common-mode fluctuation of the total count and a
-    # coefficient-population CI would be far too narrow.
-    mean_ci: tuple
-    variance_ci: tuple
     mean_var_ratio: float
     mean_var_ratio_ci: tuple
     var_pred_ratio: float
     var_pred_ratio_ci: tuple
+    # mean_diff and its CI are computed over per-sample averages, not
+    # over coefficients: coefficients share pixels, so their deviations
+    # carry the common-mode fluctuation of the total count and a
+    # coefficient-population CI would be far too narrow.
     mean_diff: float
     mean_diff_ci: tuple
     scatter: np.ndarray
@@ -159,8 +157,6 @@ def _band_report(band, level, samples, sums, pred_var, driver):
         empirical_variance=emp_var,
         predicted_mean=sums.mean,
         predicted_variance=pred_var,
-        mean_ci=_normal_ci(emp_mean[valid]),
-        variance_ci=_normal_ci(emp_var[valid]),
         mean_var_ratio=float(ratios.mean()) if ratios.size else float("nan"),
         mean_var_ratio_ci=_normal_ci(ratios),
         var_pred_ratio=float(pred_ratios.mean()) if pred_ratios.size else float("nan"),

@@ -139,15 +139,10 @@ def denoise_full(noisy, config, reference=None):
             f"backprojected; denoise gdb data with entry = sinogram")
     _check_column_wavelet(config.wavelet)
     _check_length(_column_length(noisy.shape, config.transform), config.wavelet)
-    if reference is None:
-        sino, ref_data = propagate_intensity(noisy, config.transform), None
-    else:
-        # one projection of both; a stack entry is bit-identical to the
-        # image projected alone
-        pair = propagate_intensity(np.stack([noisy, reference], axis=-1),
-                                   config.transform)
-        noisy_data, ref_data = np.moveaxis(pair.data, -1, 0).copy()
-        sino = replace(pair, data=noisy_data)
+    sino = propagate_intensity(noisy, config.transform)
+    ref_data = None
+    if reference is not None:
+        ref_data = propagate_intensity(reference, config.transform).data
     est_data, taus = _shrink_columns(sino.data, config.wavelet, config.policy,
                                      ref_data)
     image = np.clip(fbp_invert(replace(sino, data=est_data)), 0.0, None)

@@ -3,8 +3,9 @@
 Thresholds are chosen per band on a grid of multiples of the band noise
 scale, either by oracle empirical risk (when the clean coefficients are
 available) or by a Gaussian-approximation unbiased risk estimate that
-only needs the per-coefficient variance predictions. Both selectors
-score the whole grid in O(n) per band, with no sort: each coefficient
+only needs the per-coefficient variance predictions. The oracle scores
+each grid point by its direct squared error. The risk estimate scores
+the whole grid in O(n) per band, with no sort: each coefficient
 magnitude is placed in its grid bucket arithmetically and the risk
 terms are summed per bucket. Approximation coefficients are never
 shrunk.
@@ -130,16 +131,15 @@ def select_threshold(band, noise, policy, reference=None):
     the Gaussian-approximation unbiased risk estimate with
     per-coefficient variances v_i. Ties break toward the smaller tau.
 
-    Neither selector sorts or builds a grid-by-band matrix. Each |w_i|
-    falls in the bucket b_i = #{j : grid_j < |w_i|}, so |w_i| <= grid_j
-    exactly when b_i <= j, and per-bucket sums (np.bincount) cumulated
-    over the grid give every grid risk in O(n): for sure,
+    oracle-erm scores each grid point with the direct sum of
+    (soft(w, tau) - reference)^2. sure neither sorts nor builds a
+    grid-by-band matrix. Each |w_i| falls in the bucket
+    b_i = #{j : grid_j < |w_i|}, so |w_i| <= grid_j exactly when
+    b_i <= j, and per-bucket sums (np.bincount) cumulated over the grid
+    give every grid risk in O(n):
     risk_j = sum v - 2 V_j + W_j + grid_j^2 (n - K_j) with K_j, V_j and
     W_j the count, sum of v and sum of w^2 over buckets 0..j (the
-    SureShrink form of Donoho and Johnstone, JASA 1995). oracle-erm
-    takes its bucket risks only as a shortlist: the grid points within
-    a rounding-level slack of their minimum are re-evaluated with the
-    direct sum of (soft(w, tau) - reference)^2, which picks the tau.
+    SureShrink form of Donoho and Johnstone, JASA 1995).
 
     Raises ValueError if the noise scale is not finite and >= 0, if the
     band, the variances (sure) or the reference (oracle-erm) hold NaN or
@@ -164,8 +164,9 @@ def select_threshold(band, noise, policy, reference=None):
     if grid[-1] == 0.0:
         return 0.0
     if policy.selector == "oracle-erm":
-        return float(_oracle_threshold(w, paired, grid))
-    risks = _sure_risks(w, paired, grid)
+        risks = [((soft_threshold(w, tau) - paired) ** 2).sum() for tau in grid]
+    else:
+        risks = _sure_risks(w, paired, grid)
     return float(grid[int(np.argmin(risks))])
 
 
@@ -210,41 +211,6 @@ def _sure_risks(w, v, grid):
     cv = _bucket_prefix(b, v, grid.size)
     cw = _bucket_prefix(b, w * w, grid.size)
     return v.sum() - 2.0 * cv + cw + grid ** 2 * (w.size - k)
-
-
-# oracle-erm shortlist slack, relative to the size of the risk terms; the
-# rounding of the bucket sums is orders of magnitude below it
-_ORACLE_SLACK = 1e-9
-
-
-def _oracle_threshold(w, ref, grid):
-    """Grid threshold of least squared error against ref, ties smaller.
-
-    Coefficients with |w| <= tau contribute ref^2; the others
-    (w - ref - tau sign(w))^2. Per-bucket sums of ref^2, (w - ref)^2 and
-    sign(w)(w - ref) give every grid risk in O(n); the shortlist of grid
-    points near their minimum is then scored by the direct expression.
-    """
-    b = _grid_buckets(np.abs(w), grid)
-    diff = w - ref
-    points = grid.size
-
-    def tail(weights):
-        # sums over buckets j+1..P, taken from the top so that an empty
-        # tail sums to exactly 0
-        binned = np.bincount(b, weights, minlength=points + 1)
-        return np.cumsum(binned[::-1])[::-1][1:]
-
-    risks = (_bucket_prefix(b, ref * ref, points) + tail(diff * diff)
-             - 2.0 * grid * tail(np.sign(w) * diff) + grid ** 2 * tail(None))
-    top = grid[-1]
-    slack = _ORACLE_SLACK * (ref @ ref + diff @ diff + top ** 2 * w.size
-                             + 2.0 * top * np.abs(diff).sum())
-    shortlist = grid[risks <= risks.min() + slack]
-    shrunk = np.sign(w)[None, :] * np.maximum(
-        np.abs(w)[None, :] - shortlist[:, None], 0.0)
-    exact = ((shrunk - ref[None, :]) ** 2).sum(axis=1)
-    return shortlist[int(np.argmin(exact))]
 
 
 def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):

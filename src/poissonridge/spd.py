@@ -63,7 +63,9 @@ def moment_match(atom, intensities):
     atom : array_like
         Analysis weights psi_i, finite.
     intensities : array_like
-        Poisson rates lambda_i, same length, finite and non-negative.
+        Poisson rates lambda_i, same length, finite and non-negative,
+        with finite sums of lambda_i |psi_i| and lambda_i psi_i^2 on
+        each sign class.
 
     Returns
     -------
@@ -91,8 +93,14 @@ def moment_match(atom, intensities):
         raise ValueError("intensities must be non-negative")
 
     def side(mask):
-        m = float(np.sum(lam[mask] * np.abs(psi[mask])))
-        v = float(np.sum(lam[mask] * psi[mask] ** 2))
+        # an overflowing product is caught by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = float(np.sum(lam[mask] * np.abs(psi[mask])))
+            v = float(np.sum(lam[mask] * psi[mask] ** 2))
+        if not (math.isfinite(m) and math.isfinite(v)):
+            raise ValueError(
+                f"atom weights and intensities overflow a side sum: "
+                f"sum lam |psi| = {m}, sum lam psi^2 = {v}")
         if m <= 0.0 or v <= 0.0:
             return 0.0, 0.0
         return v / m, m * m / v

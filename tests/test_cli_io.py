@@ -109,7 +109,7 @@ def test_pet_preset_applies_first_then_overrides():
         parse_config("preset = ct\n")
 
 
-def test_selector_aliases_normalize():
+def test_old_selector_aliases_are_rejected():
     # the old aliases no longer normalize: each selector has one
     # spelling (sure, oracle-erm or fixed) and the others fail at parse
     for old in ("sure-gaussian-approx", "oracle"):

@@ -90,7 +90,7 @@ def test_zero_threshold_is_identity_in_sinogram_mode():
     assert np.allclose(res.image, counts, atol=1e-10)
 
 
-def test_clamp_toggle_is_exactly_a_clip():
+def test_image_entry_is_the_clipped_fbp_of_the_denoised_sinogram():
     # image entry returns the filtered backprojection of the denoised
     # sinogram, clipped at 0
     lam = smooth_phantom(32) * 5 + 0.05
@@ -105,7 +105,7 @@ def test_clamp_toggle_is_exactly_a_clip():
     assert np.array_equal(result.image, np.clip(fbp, 0.0, None))
 
 
-def test_image_entry_clamp_off_keeps_negative_lobes():
+def test_image_entry_clips_the_negative_lobes_of_an_unshrunk_fbp():
     # a point source's filtered backprojection keeps negative ramp
     # lobes; with no shrinkage the pipeline returns exactly that FBP,
     # clipped
@@ -273,9 +273,9 @@ def test_sinogram_entry_runs_one_analysis_cascade(monkeypatch, levels):
     assert sorted(holes) == sorted(2 * [2 ** j for j in range(levels)])
 
 
-def test_image_entry_projects_noisy_and_reference_once(monkeypatch):
-    # the reference rides along as a second stack entry: one projection,
-    # and the noisy sinogram is bit-identical to projecting it alone
+def test_image_entry_projects_noisy_and_reference_separately(monkeypatch):
+    # one projection each for the counts and the reference, and the
+    # noisy sinogram is bit-identical to projecting the counts alone
     calls = []
 
     def counting(image, config):
@@ -289,7 +289,7 @@ def test_image_entry_projects_noisy_and_reference_once(monkeypatch):
     cfg = DenoiseConfig(transform=TransformConfig(angles=12, interp="area"),
                         policy=ThresholdPolicy(selector="oracle-erm"))
     res = denoise_full(counts, cfg, reference=lam)
-    assert calls == [(16, 16, 2)]
+    assert calls == [(16, 16), (16, 16)]
     alone = drt_rotation(counts, angles=12, interp="area").data
     assert np.array_equal(res.noisy_sinogram, alone)
 

@@ -303,7 +303,7 @@ def dense_oracle_threshold(w, ref, grid):
 @example([(0.4, 0.0), (-0.3, 0.0), (0.2, 0.0)], 0.1)
 @example([(3.0, 3.0), (-1.0, -1.0), (0.5, 0.5)], 1.0)
 @example([(1.0, 0.5), (1.0, 0.5), (-2.0, 0.0)], 0.2)
-def test_oracle_shortlist_matches_dense_risk_matrix(pairs, scale):
+def test_oracle_matches_dense_risk_matrix(pairs, scale):
     w = np.array([p[0] for p in pairs])
     ref = np.array([p[1] for p in pairs])
     policy = ThresholdPolicy(selector="oracle-erm")

@@ -48,6 +48,12 @@ def test_moment_match_validation():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="atom weights must be finite"):
             moment_match(np.array([bad, -1.0, 1.0]), np.array([1.0, 1.0, 2.0]))
+    # finite inputs whose side sums overflow fail here, with no
+    # RuntimeWarning, not as NaN parameters inside SpdParams
+    for atom, rates in (([10.0, -1.0], [1e308, 1.0]),
+                        ([1e200, -1.0], [0.0, 1.0])):
+        with pytest.raises(ValueError, match="overflow a side sum"):
+            moment_match(atom, rates)
 
 
 @pytest.mark.parametrize("field", range(4))
