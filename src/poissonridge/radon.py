@@ -245,45 +245,36 @@ def _rotation_radius(h, w):
     return int(np.ceil(np.hypot((h - 1) / 2.0, (w - 1) / 2.0))) + 2
 
 
-def _orbit_rows(orbits, h, w, radius, rounding=np.floor):
-    """Yield (t, cols, row, frac) per orbit (t, cols) of _angle_orbits.
+def _orbit_taps(orbits, h, w, radius, interp):
+    """Yield (cols, row, parts) per orbit (t, cols) of _angle_orbits.
 
     Over the h x w pixels in raster order, r = y sin t + x cos t on the
-    centred grid, row = rounding(r) + radius (np.intp) and
-    frac = r - rounding(r): the one offset geometry of drt_rotation and
-    fbp_invert. row and frac are buffers the next orbit overwrites.
+    centred grid, row = rounding(r) + radius (np.intp) with np.rint for
+    ``nearest`` and np.floor otherwise, and frac = r - rounding(r): the
+    one offset geometry of drt_rotation and _backproject. Each part
+    (pixels, lead, tap) puts tap[i] of the mass of pixel pixels[i] into
+    bin row[pixels[i]] + lead, pixels ascending; pixels is slice(None)
+    for a part over every pixel. Parts come in ascending lead:
+    ``nearest`` one tap of 1.0, ``linear`` (and ``area`` at an
+    axis-aligned angle) 1 - frac and frac, tilted ``area`` the four bins
+    of _area_taps with its zero end taps left out. Every array yielded
+    is a buffer the next orbit overwrites.
     """
+    npix = h * w
+    every = slice(None)
+    ones = np.broadcast_to(1.0, (npix,))
     ys = np.arange(h) - (h - 1) / 2.0
     xs = np.arange(w) - (w - 1) / 2.0
-    r, base, frac = np.empty((3, h * w))
-    row = np.empty(h * w, dtype=np.intp)
+    r, base, frac = np.empty((3, npix))
+    row = np.empty(npix, dtype=np.intp)
+    taps, work = np.empty((2, npix)), np.empty((2, npix))
+    rounding = np.rint if interp == "nearest" else np.floor
     for t, cols in orbits:
         np.add.outer(ys * np.sin(t), xs * np.cos(t), out=r.reshape(h, w))
         rounding(r, out=base)
         np.subtract(r, base, out=frac)
         np.copyto(row, base, casting="unsafe")
         np.add(row, radius, out=row)
-        yield t, cols, row, frac
-
-
-def _orbit_taps(orbits, h, w, radius, interp):
-    """Yield (cols, row, parts) per orbit: what drt_rotation deposits.
-
-    row is _orbit_rows' offset row (np.rint for nearest, np.floor
-    otherwise). Each part (pixels, lead, tap) puts tap[i] of the mass of
-    pixel pixels[i] into bin row[pixels[i]] + lead, pixels ascending;
-    pixels is slice(None) for a part over every pixel. Parts come in
-    ascending lead: ``nearest`` one tap of 1.0, ``linear`` (and ``area``
-    at an axis-aligned angle) 1 - frac and frac, tilted ``area`` the
-    four bins of _area_taps with its zero end taps left out. Every array
-    yielded is a buffer the next orbit overwrites.
-    """
-    npix = h * w
-    every = slice(None)
-    ones = np.broadcast_to(1.0, (npix,))
-    taps, work = np.empty((2, npix)), np.empty((2, npix))
-    rounding = np.rint if interp == "nearest" else np.floor
-    for t, cols, row, frac in _orbit_rows(orbits, h, w, radius, rounding):
         ct, st = abs(np.cos(t)), abs(np.sin(t))
         a, b = max(ct, st), min(ct, st)
         if interp == "nearest":
@@ -331,6 +322,7 @@ def drt_rotation(img, angles=180, interp="linear"):
     part, and deposits each view with its own np.bincount: within an
     entry in the same (tap, pixel) order as a single image, so every
     stack entry is bit-identical to transforming that image alone.
+    _backproject gathers along the same taps: it is the exact transpose.
 
     A tilted ``area`` footprint spans at most sqrt 2 bins, so of its 4
     taps floor(r) - 1 .. floor(r) + 2 the first is non-zero only where
@@ -494,73 +486,79 @@ def _check_column_wavelet(wavelet):
 # ---------------------------------------------------------------------------
 # filtered backprojection
 
+def _backproject(data, thetas, shape, interp):
+    """A^T data, the exact transpose of drt_rotation for one image.
+
+    data[offset, angle] has a row for every bin that drt_rotation
+    deposits an image of this shape into. Each tap part (pixels, lead,
+    tap) of _orbit_taps, walked with drt_rotation's folding, gathers
+    tap * data[row + lead, col] into the image of col's view.
+    """
+    h, w = shape
+    orbits = _angle_orbits(thetas, h, w, fold=interp != "nearest")
+    # columns[k, 1 + j] is data[j, k]; the zero ahead serves lead -1
+    columns = np.pad(data.T, ((0, 0), (1, 0)))
+    acc = np.zeros((max(len(cols) for _, cols in orbits), h * w))
+    gather_buf = np.empty(acc.size)
+    for cols, row, parts in _orbit_taps(orbits, h, w, data.shape[0] // 2,
+                                        interp):
+        views = columns[list(cols)]
+        for pixels, lead, tap in parts:
+            gather = gather_buf[:len(cols) * len(tap)].reshape(len(cols), -1)
+            # every bin is in range: mode="clip" only skips a buffered check
+            np.take(views[:, 1 + lead:], row[pixels], axis=1, out=gather,
+                    mode="clip")
+            gather *= tap
+            acc[:len(cols), pixels] += gather
+    return _sum_unturned(acc.reshape(-1, h, w))
+
+
 def _ramp_filter(npad):
-    # spatial-domain ramp kernel, transformed; avoids the DC bias of a
-    # directly-sampled frequency ramp
+    # half spectrum of the spatial-domain ramp kernel, which avoids the DC
+    # bias of a directly-sampled frequency ramp; the kernel is real and
+    # even, so its spectrum is real
     f = np.zeros(npad)
     f[0] = 0.25
     odd = np.arange(1, npad // 2, 2)
-    f[odd] = -1.0 / (np.pi * odd) ** 2
-    f[-odd] = -1.0 / (np.pi * odd) ** 2
-    return 2.0 * np.real(np.fft.fft(f))
+    f[odd] = f[-odd] = -1.0 / (np.pi * odd) ** 2
+    return 2.0 * np.fft.rfft(f).real
 
 
 def fbp_invert(sino):
     """Filtered backprojection of a rotation-variant sinogram.
 
     Ramp-filters each projection (spatial-domain kernel, FFT applied,
-    zero-padded against circular wrap) and backprojects with linear
-    interpolation on the offset axis. The result is the raw
-    reconstruction: the ramp filter's negative lobes are kept; denoise
-    zeroes them in its final estimate.
-
-    Angles are walked as in drt_rotation: one _orbit_rows pass per
-    orbit reads every member's filtered column and its bin-to-bin slope
-    at the same rows, into one image per view, and the views are turned
-    back and summed at the end.
+    zero-padded against circular wrap) and applies (pi / 2 n_angles)
+    times the transpose of the ``linear`` projector, _backproject. The
+    result is the raw reconstruction: the ramp filter's negative lobes
+    are kept; denoise zeroes them in its final estimate. Empty, stacked
+    or non-finite input raises ValueError before anything is filtered.
     """
     if sino.variant != "rotation":
         raise ValueError(
             f"fbp_invert is not implemented for variant {sino.variant!r}")
-    if sino.data.ndim != 2:
+    h, w = sino.image_shape
+    if sino.data.ndim != 2 or 0 in sino.data.shape or min(h, w) < 1:
         raise ValueError(
-            f"fbp_invert takes one sinogram, got data of shape "
-            f"{sino.data.shape}")
+            f"fbp_invert takes one non-empty sinogram of a non-empty image, "
+            f"got data of shape {sino.data.shape} for image_shape {(h, w)}")
+    if not np.isfinite(sino.data).all():
+        raise ValueError("fbp_invert needs finite sinogram data")
     nr, nth = sino.data.shape
     thetas = np.asarray(sino.angles, dtype=float)
     if thetas.shape != (nth,) or not np.isfinite(thetas).all():
         raise ValueError(
             f"fbp_invert needs one finite angle per column: {nth} columns, "
             f"angles of shape {thetas.shape}")
-    h, w = sino.image_shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     radius = -sino.offset_min
-    # the gather below reads rows floor(r) and floor(r) + 1 for every
-    # pixel's offset r, |r| <= hypot(cy, cx); both must exist
-    if np.hypot(cy, cx) + 1.0 > radius:
+    # the linear transpose gathers rows floor(r) and floor(r) + 1 for
+    # every pixel's offset r, |r| at most the half-diagonal; both must exist
+    if np.hypot((h - 1) / 2.0, (w - 1) / 2.0) + 1.0 > radius:
         raise ValueError(
             f"sinogram offsets reach only +-{radius}, too few for the "
             f"diagonal of a {h}x{w} image")
     npad = int(2 ** np.ceil(np.log2(2 * nr)))
-    ramp = _ramp_filter(npad)
-    padded = np.zeros((npad, nth))
-    padded[:nr] = sino.data
-    # filtered[k] is angle k's filtered column, slope[k] its differences
-    filtered = np.real(np.fft.ifft(np.fft.fft(padded, axis=0) * ramp[:, None],
-                                   axis=0))[:nr].T.copy()
-    slope = np.diff(filtered, axis=1)
-    gather, value = np.empty(h * w), np.empty(h * w)
-    orbits = _angle_orbits(thetas, h, w)
-    acc = np.zeros((max(len(cols) for _, cols in orbits), h * w))
-    for _, cols, row, frac in _orbit_rows(orbits, h, w, radius):
-        # np.interp's slope * (r - offset) + value; row is in range, so
-        # mode="clip" only spares np.take its buffered bounds check
-        for view, col in zip(acc, cols):
-            np.take(slope[col], row, out=gather, mode="clip")
-            np.multiply(gather, frac, out=gather)
-            np.take(filtered[col], row, out=value, mode="clip")
-            np.add(gather, value, out=gather)
-            view += gather
-    rec = _sum_unturned(acc.reshape(-1, h, w))
-    rec *= np.pi / (2 * nth)
-    return rec
+    spectrum = np.fft.rfft(sino.data, n=npad, axis=0)
+    spectrum *= _ramp_filter(npad)[:, None]
+    filtered = np.fft.irfft(spectrum, n=npad, axis=0)[:nr]
+    return np.pi / (2 * nth) * _backproject(filtered, thetas, (h, w), "linear")

@@ -103,7 +103,12 @@ def moment_match(atom, intensities):
                 f"sum lam |psi| = {m}, sum lam psi^2 = {v}")
         if m <= 0.0 or v <= 0.0:
             return 0.0, 0.0
-        return v / m, m * m / v
+        lam_side = m * m / v
+        if not math.isfinite(lam_side):
+            # m * m overflowed; m * (m / v) rounds differently, so it
+            # serves only where the plain form fails
+            lam_side = m * (m / v)
+        return v / m, lam_side
 
     ap, lp = side(psi >= 0)
     am, lm = side(psi < 0)

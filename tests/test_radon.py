@@ -1,5 +1,5 @@
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from poissonridge.phantoms import PhantomSpec, _head_phantom, make_phantom
 from poissonridge.radon import (Sinogram, TransformConfig, _angle_array,
-                                _angle_orbits, _area_taps, _column_length,
+                                _angle_orbits, _area_taps, _backproject,
+                                _column_length,
                                 _drt_single_quadrant, _oriented_views,
                                 _rotation_radius, drt_gdb, drt_rotation,
                                 fbp_invert, propagate_intensity)
@@ -697,7 +698,8 @@ def per_orbit_fbp(sino):
 
     Each orbit takes its offsets, floor and fractions itself and reads
     every member's filtered column and bin-to-bin slope at the same
-    rows, adding in fbp_invert's order, so the two agree bit for bit.
+    rows: np.interp's formula, value + frac * slope, which the linear
+    transpose evaluates as (1 - frac) * value + frac * next value.
     """
     nr, nth = sino.data.shape
     npad = int(2 ** np.ceil(np.log2(2 * nr)))
@@ -734,12 +736,54 @@ def per_orbit_fbp(sino):
     ((16, 16), 180), ((9, 9), 8),
     ((7, 12), 12), ((9, 9), np.array([0.0, 0.3, np.pi / 2, 2.0]))],
     ids=["folded-180", "folded-8", "rectangle", "explicit"])
-def test_fbp_matches_per_orbit_gather_bit_for_bit(shape, angles):
-    # the offsets, rows and fractions fbp_invert shares with drt_rotation
-    # are the ones this reference takes on its own, to the last bit
+def test_fbp_matches_per_orbit_gather(shape, angles):
+    # the same rows and fractions, interpolated in another order and
+    # filtered through a real FFT: the two agree to rounding
     img = np.random.default_rng(sum(shape)).uniform(0, 5, size=shape)
     sino = drt_rotation(img, angles=angles, interp="area")
-    assert np.array_equal(fbp_invert(sino), per_orbit_fbp(sino))
+    expected = per_orbit_fbp(sino)
+    assert (np.abs(fbp_invert(sino) - expected).max()
+            <= 1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("interp", ["nearest", "linear", "area"])
+@pytest.mark.parametrize("shape, angles", [
+    ((16, 16), 180), ((16, 16), 17), ((12, 20), 30),
+    ((9, 9), np.array([0.0, 0.3, np.pi / 2, 2.0, 3.0]))],
+    ids=["folded-180", "square-17", "rectangle", "explicit"])
+def test_backproject_is_the_transpose_of_the_projector(shape, angles,
+                                                       interp):
+    # <A x, y> = <x, A^T y> for signed x and y, folded or not
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    sino = drt_rotation(x, angles=angles, interp=interp)
+    y = rng.normal(size=sino.data.shape)
+    projected = np.vdot(sino.data, y)
+    back = np.vdot(x, _backproject(y, sino.angles, shape, interp))
+    assert abs(projected - back) <= 1e-12 * abs(projected)
+
+
+def _one_bad_entry(bad):
+    data = np.ones((15, 4))
+    data[7, 2] = bad
+    return data
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"data": np.zeros((15, 0)), "angles": np.zeros(0)}, r"\(15, 0\)"),
+    ({"image_shape": (0, 8)}, r"image_shape \(0, 8\)"),
+    ({"image_shape": (8, 0)}, r"image_shape \(8, 0\)"),
+    ({"data": _one_bad_entry(np.nan)}, "finite sinogram data"),
+    ({"data": _one_bad_entry(np.inf)}, "finite sinogram data"),
+    ({"data": _one_bad_entry(-np.inf)}, "finite sinogram data")],
+    ids=["no-columns", "no-rows-image", "no-columns-image", "nan", "inf",
+         "-inf"])
+def test_fbp_rejects_empty_or_non_finite_input(change, message):
+    # each used to fail deep inside (an IndexError, a reshape) or to
+    # return an all-NaN image
+    sino = drt_rotation(np.ones((8, 8)), angles=4, interp="area")
+    with pytest.raises(ValueError, match=message):
+        fbp_invert(replace(sino, **change))
 
 
 def test_fbp_rejects_offsets_short_of_the_diagonal():

@@ -56,6 +56,15 @@ def test_moment_match_validation():
             moment_match(atom, rates)
 
 
+def test_moment_match_survives_an_overflowing_square():
+    # m = 1e200 and v = 1e100 are finite, and so is m^2 / v = 1e300,
+    # although the intermediate m * m overflows
+    params = moment_match([1e-100, -1.0], [1e300, 1.0])
+    assert params.lambda_plus == pytest.approx(1e300, rel=1e-15)
+    assert params.alpha_plus == pytest.approx(1e-100, rel=1e-15)
+    assert (params.alpha_minus, params.lambda_minus) == (1.0, 1.0)
+
+
 @pytest.mark.parametrize("field", range(4))
 @pytest.mark.parametrize("bad", [-2.0, -1e-300, np.nan, np.inf, -np.inf])
 def test_spd_params_reject_negative_or_non_finite_fields(field, bad):
