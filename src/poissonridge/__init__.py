@@ -20,8 +20,7 @@ from .radon import (Sinogram, TransformConfig, drt_gdb, drt_rotation,
 from .ridgelet import DenoiseConfig, DenoiseResult, denoise, denoise_full
 from .seeding import derive_rng, derive_seed_sequence
 from .shrinkage import (BandNoiseModel, ThresholdPolicy, estimate_band_noise,
-                        select_pyramid_thresholds, select_threshold,
-                        soft_threshold, threshold_grid)
+                        select_threshold, soft_threshold, threshold_grid)
 from .spd import SpdParams, moment_match, spd_pmf, wavelet_coeff_dist
 from .svgplot import emit_scatter_svg
 from .wavelet import (WaveletPyramid, WaveletSpec, approximation_chain,
@@ -40,7 +39,7 @@ __all__ = [
     "load_config", "lowpass_gain", "make_phantom", "moment_match", "mse",
     "parse_config", "propagate_intensity", "psnr", "read_csv", "read_pgm",
     "read_sinogram", "run_distribution_experiment", "sample_poisson",
-    "select_pyramid_thresholds", "select_threshold", "soft_threshold",
+    "select_threshold", "soft_threshold",
     "spd_pmf", "ssim_global",
     "threshold_grid", "validate_intensity", "variance_vs_intensity",
     "wavelet_atom", "wavelet_coeff_dist", "write_csv", "write_pgm",

@@ -16,11 +16,9 @@ validated with its values after the last line, so the lines may pass
 through a state that could never run; an error names the first line
 since the component last built and that line's key. The ``preset`` key
 applies a named bundle first, so later lines can still override
-individual fields. POISSONRIDGE_OUTPUT_DIR in the environment overrides
-output_dir regardless of the file.
+individual fields.
 """
 
-import os
 from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 
 from .harness import _check_run_counts
@@ -32,8 +30,6 @@ from .wavelet import WaveletSpec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
            "DEFAULTS_TABLE"]
-
-_OUTPUT_DIR_ENV = "POISSONRIDGE_OUTPUT_DIR"
 
 
 class ConfigError(ValueError):
@@ -189,12 +185,7 @@ def parse_config(text):
     if failing:
         lineno, key, exc = min(failing.values(), key=lambda fault: fault[0])
         raise ConfigError(f"line {lineno}: {key}: {exc}")
-    cfg = replace(built.pop(None, cfg), **built)
-
-    env_dir = os.environ.get(_OUTPUT_DIR_ENV)
-    if env_dir:
-        cfg = replace(cfg, output_dir=env_dir)
-    return cfg
+    return replace(built.pop(None, cfg), **built)
 
 
 def load_config(path):

@@ -22,7 +22,7 @@ from .phantoms import _nonnegative_grid
 from .radon import TransformConfig, _check_column_wavelet, _column_length, \
     drt_rotation, fbp_invert, propagate_intensity  # noqa: F401
 from .shrinkage import ThresholdPolicy, estimate_band_noise, \
-    select_pyramid_thresholds, soft_threshold
+    select_threshold, soft_threshold
 from .wavelet import WaveletSpec, _analysis_cascade, _check_length, \
     dwt_forward, dwt_inverse
 
@@ -72,16 +72,24 @@ class DenoiseResult:
 
 
 def _shrink_columns(counts, wavelet, policy, reference=None):
-    """Shrink detail bands of column signals; returns (estimate, taus)."""
-    counts = np.asarray(counts, dtype=float)
+    """Shrink detail bands of column signals; returns (estimate, taus).
+
+    One pass per level, finest first: the band's noise model from its
+    co-located approximation (estimate_band_noise), its threshold
+    selected on that band alone (select_threshold, against the same band
+    of dwt_forward(reference) when a reference is given) and its soft
+    threshold. The approximation is never shrunk.
+    """
     pyr, approxes = _analysis_cascade(counts, wavelet)
-    noise = [estimate_band_noise(d, a, wavelet, level)
-             for level, (d, a) in enumerate(zip(pyr.details, approxes), start=1)]
-    ref_pyr = None
-    if reference is not None:
-        ref_pyr = dwt_forward(np.asarray(reference, dtype=float), wavelet)
-    taus = select_pyramid_thresholds(pyr, policy, noise, ref_pyr)
-    details = [soft_threshold(d, tau) for d, tau in zip(pyr.details, taus)]
+    refs = ([None] * len(pyr.details) if reference is None
+            else dwt_forward(reference, wavelet).details)
+    details, taus = [], []
+    for level, (band, approx, ref) in enumerate(
+            zip(pyr.details, approxes, refs), start=1):
+        noise = estimate_band_noise(band, approx, wavelet, level)
+        tau = select_threshold(band, noise, policy, ref)
+        details.append(soft_threshold(band, tau))
+        taus.append(tau)
     return dwt_inverse(replace(pyr, details=details)), taus
 
 
@@ -95,7 +103,9 @@ def denoise_full(noisy, config, reference=None):
     config : DenoiseConfig
     reference : ndarray, optional
         The noiseless rate image (image mode) or rate sinogram (sinogram
-        mode); required by the oracle-erm selector.
+        mode). It is validated under every selector, but only oracle-erm,
+        which requires it, reads it: the other selectors neither project
+        nor analyse it, and their result is the one without a reference.
 
     Returns
     -------
@@ -121,7 +131,9 @@ def denoise_full(noisy, config, reference=None):
             raise ValueError(
                 f"reference shape {reference.shape} does not match noisy "
                 f"counts {noisy.shape}")
-    if config.policy.selector == "oracle-erm" and reference is None:
+    if config.policy.selector != "oracle-erm":
+        reference = None
+    elif reference is None:
         raise ValueError("oracle-erm selection requires a reference image")
     if config.entry == "sinogram":
         _check_length(noisy.shape[0], config.wavelet)

@@ -25,7 +25,6 @@ __all__ = [
     "soft_threshold",
     "estimate_band_noise",
     "select_threshold",
-    "select_pyramid_thresholds",
     "threshold_grid",
 ]
 
@@ -88,8 +87,9 @@ def estimate_band_noise(band, approx, spec, level):
     The same-level approximation coefficients, clamped to zero and
     rescaled by the lowpass gain, estimate the local Radon-domain rate.
     A detail coefficient of rate-lam Poisson counts has variance
-    lam * sum psi^2, and every filter in wavelet.FILTERS is orthonormal,
-    so sum psi^2 = 1 at every level in both modes and the predicted
+    lam * sum psi^2, and every filter in wavelet.FILTERS is orthonormal
+    (tests/test_wavelet.py::test_registered_filters_are_orthonormal), so
+    sum psi^2 = 1 at every level in both modes and the predicted
     variance is the rate itself.
 
     Parameters
@@ -212,28 +212,3 @@ def _sure_risks(w, v, grid):
     cw = _bucket_prefix(b, w * w, grid.size)
     return v.sum() - 2.0 * cv + cw + grid ** 2 * (w.size - k)
 
-
-def select_pyramid_thresholds(pyramid, policy, noise_models, reference=None):
-    """One threshold per detail band, each selected on that band alone.
-
-    noise_models is a list of BandNoiseModel, finest level first, and
-    reference (optional) a pyramid of clean coefficients whose detail
-    bands have the shapes of pyramid's.
-    """
-    details = pyramid.details
-    if len(noise_models) != len(details):
-        raise ValueError(
-            f"need one noise model per detail band: got {len(noise_models)} "
-            f"for {len(details)} bands")
-    if reference is None:
-        refs = [None] * len(details)
-    else:
-        refs = reference.details
-        shapes = [np.shape(d) for d in details]
-        ref_shapes = [np.shape(r) for r in refs]
-        if ref_shapes != shapes:
-            raise ValueError(
-                f"reference detail bands {ref_shapes} do not match the "
-                f"pyramid's {shapes}")
-    return [select_threshold(d, nm, policy, r)
-            for d, nm, r in zip(details, noise_models, refs)]

@@ -22,6 +22,7 @@ numpy only.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,9 @@ def moment_match(atom, intensities):
         if m <= 0.0 or v <= 0.0:
             return 0.0, 0.0
         lam_side = m * m / v
-        if not math.isfinite(lam_side):
-            # m * m overflowed; m * (m / v) rounds differently, so it
-            # serves only where the plain form fails
+        if not math.isfinite(lam_side) or m * m < sys.float_info.min:
+            # m * m overflowed, or fell below the normal range and lost
+            # bits; m * (m / v) rounds differently, so it serves only there
             lam_side = m * (m / v)
         return v / m, lam_side
 

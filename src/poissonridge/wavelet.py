@@ -65,14 +65,7 @@ class WaveletSpec:
             raise ValueError(f"levels must be an integer, got {self.levels!r}")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        lo, _ = _filter_pair(self.filter)
-        # orthonormal pair: unit norm and even-shift self-orthogonality
-        if abs(lo @ lo - 1.0) > 1e-12:
-            raise ValueError(f"filter {self.filter!r} taps are not unit norm")
-        for shift in range(2, len(lo), 2):
-            if abs(lo[:-shift] @ lo[shift:]) > 1e-12:
-                raise ValueError(
-                    f"filter {self.filter!r} is not orthogonal to its even shifts")
+        _filter_pair(self.filter)  # rejects an unknown filter name
 
 
 @dataclass

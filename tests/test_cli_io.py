@@ -19,11 +19,6 @@ from poissonridge.seeding import derive_rng
 from poissonridge.svgplot import emit_scatter_svg
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("POISSONRIDGE_OUTPUT_DIR", raising=False)
-
-
 # --- config ------------------------------------------------------------
 
 def test_empty_config_is_all_defaults():
@@ -116,12 +111,6 @@ def test_old_selector_aliases_are_rejected():
         with pytest.raises(ConfigError, match=(
                 f"line 1: policy.selector: unknown selector '{old}'")):
             parse_config(f"policy.selector = {old}\n")
-
-
-def test_output_dir_env_override(monkeypatch):
-    monkeypatch.setenv("POISSONRIDGE_OUTPUT_DIR", "/tmp/elsewhere")
-    cfg = parse_config("output_dir = custom\n")
-    assert cfg.output_dir == "/tmp/elsewhere"
 
 
 def test_load_config_missing_file():

@@ -13,8 +13,10 @@ from poissonridge.phantoms import PhantomSpec, make_phantom, sample_poisson
 from poissonridge.radon import (TransformConfig, drt_gdb, drt_rotation,
                                 fbp_invert)
 from poissonridge.ridgelet import DenoiseConfig, denoise, denoise_full
-from poissonridge.shrinkage import ThresholdPolicy, soft_threshold
-from poissonridge.wavelet import WaveletSpec, dwt_forward, dwt_inverse
+from poissonridge.shrinkage import (ThresholdPolicy, estimate_band_noise,
+                                    select_threshold, soft_threshold)
+from poissonridge.wavelet import (WaveletSpec, approximation_chain,
+                                  dwt_forward, dwt_inverse)
 
 
 def smooth_phantom(n, radius_frac=0.30, power=6):
@@ -292,6 +294,77 @@ def test_image_entry_projects_noisy_and_reference_separately(monkeypatch):
     assert calls == [(16, 16), (16, 16)]
     alone = drt_rotation(counts, angles=12, interp="area").data
     assert np.array_equal(res.noisy_sinogram, alone)
+
+
+@pytest.mark.parametrize("selector", ["sure", "fixed"])
+def test_only_the_oracle_projects_or_analyses_the_reference(monkeypatch,
+                                                            selector):
+    # sure and fixed never read the reference: it is validated, but not
+    # projected or analysed, and the result is the one without it
+    calls = []
+
+    def counting(image, config):
+        calls.append(np.shape(image))
+        return propagate(image, config)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the reference was analysed")
+
+    propagate = ridgelet.propagate_intensity
+    monkeypatch.setattr(ridgelet, "propagate_intensity", counting)
+    monkeypatch.setattr(ridgelet, "dwt_forward", never)
+    lam = smooth_phantom(16) * 5.0
+    counts = sample_poisson(lam, seed=3).astype(float)
+    cfg = DenoiseConfig(transform=TransformConfig(angles=12, interp="area"),
+                        wavelet=WaveletSpec("haar", 2, "undecimated"),
+                        policy=ThresholdPolicy(selector=selector))
+    with_ref = denoise_full(counts, cfg, reference=lam)
+    assert calls == [(16, 16)]
+    alone = denoise_full(counts, cfg)
+    for name in ("image", "noisy_sinogram", "denoised_sinogram"):
+        assert getattr(with_ref, name).tobytes() == getattr(alone, name).tobytes()
+    assert with_ref.thresholds == alone.thresholds
+
+
+@pytest.mark.parametrize("selector", ["sure", "fixed", "oracle-erm"])
+@pytest.mark.parametrize("entry", ["image", "sinogram"])
+def test_bad_reference_fails_at_entry_under_every_selector(monkeypatch,
+                                                           selector, entry):
+    def never(*args, **kwargs):
+        raise AssertionError("a transform ran with an invalid reference")
+
+    for name in ("propagate_intensity", "dwt_forward", "fbp_invert",
+                 "_analysis_cascade"):
+        monkeypatch.setattr(ridgelet, name, never)
+    cfg = DenoiseConfig(entry=entry, policy=ThresholdPolicy(selector=selector))
+    counts = np.ones((16, 16))
+    nan_ref = np.full((16, 16), 3.0)
+    nan_ref[2, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        denoise_full(counts, cfg, reference=nan_ref)
+    with pytest.raises(ValueError, match="shape"):
+        denoise_full(counts, cfg, reference=np.ones((16, 8)))
+
+
+@pytest.mark.parametrize("selector", ["sure", "oracle-erm"])
+def test_each_band_threshold_is_selected_on_that_band_alone(selector):
+    # tau_j depends only on band j, its co-located approximation and,
+    # for the oracle, band j of the reference's analysis
+    lam = np.random.default_rng(1).uniform(0, 6, size=(32, 5))
+    counts = np.random.default_rng(2).poisson(lam).astype(float)
+    spec = WaveletSpec("haar", 3, "undecimated")
+    policy = ThresholdPolicy(selector=selector)
+    cfg = DenoiseConfig(wavelet=spec, policy=policy, entry="sinogram")
+    res = denoise_full(counts, cfg, reference=lam)
+    details = dwt_forward(counts, spec).details
+    refs = dwt_forward(lam, spec).details
+    expected = []
+    for level, (band, approx, ref) in enumerate(
+            zip(details, approximation_chain(counts, spec), refs), start=1):
+        noise = estimate_band_noise(band, approx, spec, level)
+        expected.append(select_threshold(band, noise, policy, ref))
+    assert res.thresholds == expected
+    assert len(set(expected)) > 1
 
 
 TRANSFORM_NAMES = ("propagate_intensity", "_analysis_cascade", "dwt_forward",

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from poissonridge.shrinkage import (BandNoiseModel, ThresholdPolicy,
                                     _grid_buckets, _sure_risks,
-                                    estimate_band_noise,
-                                    select_pyramid_thresholds,
-                                    select_threshold, soft_threshold,
-                                    threshold_grid)
+                                    estimate_band_noise, select_threshold,
+                                    soft_threshold, threshold_grid)
 from poissonridge.wavelet import FILTERS, WaveletSpec, dwt_forward, wavelet_atom
 
 
@@ -315,7 +313,7 @@ def test_oracle_matches_dense_risk_matrix(pairs, scale):
 
 @pytest.mark.parametrize("scale", [1 / 3, 0.7, np.sqrt(255.0), 1e-3])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_oracle_shortlist_matches_dense_at_grid_edges(scale, seed):
+def test_oracle_matches_dense_at_grid_edges(scale, seed):
     policy = ThresholdPolicy(selector="oracle-erm")
     grid = threshold_grid(policy, scale)
     w = grid_edge_band(grid, seed)
@@ -393,39 +391,3 @@ def test_zero_scale_and_empty_band_select_zero():
     assert select_threshold(np.ones(4), noise, policy) == 0.0
     assert select_threshold(np.array([]), noise, policy) == 0.0
 
-
-def make_pyramid(seed, levels=2):
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0, 6, size=32)
-    return dwt_forward(x, WaveletSpec("haar", levels, "undecimated"))
-
-
-def noise_for(pyr, value=1.0):
-    return [BandNoiseModel(variances=np.full(np.shape(d), value), scale=np.sqrt(value))
-            for d in pyr.details]
-
-
-def test_per_band_thresholds_one_per_band():
-    pyr = make_pyramid(1)
-    models = noise_for(pyr)
-    policy = ThresholdPolicy(selector="sure")
-    per = select_pyramid_thresholds(pyr, policy, models)
-    assert per == [select_threshold(d, m, policy)
-                   for d, m in zip(pyr.details, models)]
-
-
-def test_threshold_count_mismatch():
-    pyr = make_pyramid(3)
-    with pytest.raises(ValueError):
-        select_pyramid_thresholds(pyr, ThresholdPolicy(), noise_for(pyr)[:1])
-
-
-@pytest.mark.parametrize("ref_levels, ref_length", [(2, 32), (3, 16)])
-def test_reference_pyramid_must_match_the_bands(ref_levels, ref_length):
-    # zipping a 2-level reference with 3 bands leaves the third unshrunk
-    pyr = make_pyramid(4, levels=3)
-    ref = dwt_forward(np.ones(ref_length),
-                      WaveletSpec("haar", ref_levels, "undecimated"))
-    policy = ThresholdPolicy(selector="oracle-erm")
-    with pytest.raises(ValueError, match="reference detail bands"):
-        select_pyramid_thresholds(pyr, policy, noise_for(pyr), reference=ref)

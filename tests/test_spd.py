@@ -65,6 +65,16 @@ def test_moment_match_survives_an_overflowing_square():
     assert (params.alpha_minus, params.lambda_minus) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("weight", [1e-100, 1e-80])
+def test_moment_match_survives_an_underflowing_square(weight):
+    # psi = lam = weight gives m = weight^2, v = weight^3 and
+    # m^2 / v = weight, but m * m is 0 at 1e-100 (a zero rate with a
+    # non-zero scale) and subnormal at 1e-80 (1e-5 relative error)
+    params = moment_match([weight], [weight])
+    assert abs(params.lambda_plus - weight) <= 1e-15 * weight
+    assert abs(params.alpha_plus - weight) <= 1e-15 * weight
+
+
 @pytest.mark.parametrize("field", range(4))
 @pytest.mark.parametrize("bad", [-2.0, -1e-300, np.nan, np.inf, -np.inf])
 def test_spd_params_reject_negative_or_non_finite_fields(field, bad):

@@ -17,11 +17,18 @@ def test_spec_validation():
         WaveletSpec(filter="haar", mode="lazy")
     with pytest.raises(ValueError):
         WaveletSpec(filter="haar", levels=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown wavelet filter"):
         WaveletSpec(filter="meyer")
-    # both registered filters satisfy the orthonormality check
-    WaveletSpec(filter="haar")
-    WaveletSpec(filter="db2")
+
+
+@pytest.mark.parametrize("name", sorted(wavelet.FILTERS))
+def test_registered_filters_are_orthonormal(name):
+    # unit norm and orthogonality to even shifts: estimate_band_noise
+    # relies on the resulting sum psi^2 = 1 of every atom
+    lo = wavelet.FILTERS[name]
+    assert abs(lo @ lo - 1.0) <= 1e-12
+    for shift in range(2, len(lo), 2):
+        assert abs(lo[:-shift] @ lo[shift:]) <= 1e-12
 
 
 @pytest.mark.parametrize("levels", [2.0, 2.5, np.float64(1.0), np.nan])
