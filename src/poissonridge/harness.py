@@ -25,7 +25,8 @@ import numpy as np
 from .phantoms import make_phantom, validate_intensity
 from .radon import _check_column_wavelet, _column_length, propagate_intensity
 from .seeding import derive_rng
-from .wavelet import _check_length, dwt_forward, wavelet_atom
+from .wavelet import (_check_length, _undec_analysis, dwt_forward,
+                      wavelet_atom)
 
 __all__ = [
     "DistReport",
@@ -76,20 +77,25 @@ def _normal_ci(values):
 
 
 def _ols(x, y):
+    """Least-squares line of y on x, or None when the points fix no
+    line: fewer than 3 of them, or every x equal."""
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
-    if x.size < 3:
-        raise ValueError("need at least 3 scatter points for a fit")
+    if x.size < 3 or x.min() == x.max():
+        return None
     design = np.column_stack([x, np.ones_like(x)])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
-    ss_res = float(((y - slope * x - intercept) ** 2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res < 1e-24 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return LineFit(slope, intercept, r2)
+    if y.min() == y.max():
+        # the horizontal line fits exactly; the residuals, and y's
+        # deviations from its rounded mean, are rounding alone
+        return LineFit(slope, intercept, 1.0)
+    # both sums scaled by one power of 2, which leaves their ratio as it
+    # is but keeps every square from overflowing or underflowing
+    e = -math.frexp(float(np.abs(y).max()))[1]
+    ss_res = float((np.ldexp(y - slope * x - intercept, e) ** 2).sum())
+    ss_tot = float((np.ldexp(y - y.mean(), e) ** 2).sum())
+    return LineFit(slope, intercept, 1.0 - ss_res / ss_tot)
 
 
 @dataclass
@@ -143,10 +149,8 @@ def _band_report(band, level, samples, sums, pred_var, driver):
     diff_sd = math.sqrt(max(sums.d2 - sums.d1 * diff_mean, 0.0) / (samples - 1))
     diff_half = 1.96 * diff_sd / math.sqrt(samples)
     scatter = np.column_stack([driver[valid], emp_var[valid]])
-    if scatter.shape[0] >= 3:
-        fit = _ols(scatter[:, 0], scatter[:, 1])
-    else:
-        fit = LineFit(float("nan"), float("nan"), float("nan"))
+    fit = (_ols(scatter[:, 0], scatter[:, 1])
+           or LineFit(float("nan"), float("nan"), float("nan")))
 
     return DistReport(
         band=band,
@@ -171,21 +175,15 @@ def _band_report(band, level, samples, sums, pred_var, driver):
 
 
 def _predicted_variance(rates, spec, band, level):
-    """Variance of one band of the transform of independent Poisson columns.
+    """Variance of one undecimated band of independent Poisson columns.
 
     Coefficient k of the band is the inner product with the position-0
-    atom shifted by k * step bins (step 1 undecimated, 2**level
-    decimated), so its variance is the circular correlation of the
-    rates with the squared atom.
+    atom shifted by k bins, so its variance is the circular correlation
+    of the rates with the squared atom: the analysis kernel run with
+    the squared atom as its taps.
     """
-    n = rates.shape[0]
-    atom = wavelet_atom(spec, level, 0, n, band=band)
-    step = 2 ** level if spec.mode == "decimated" else 1
-    pos = np.arange(0, n, step)
-    var = np.zeros((pos.size,) + rates.shape[1:])
-    for t in np.flatnonzero(atom):
-        var += atom[t] ** 2 * rates[(pos + t) % n]
-    return var
+    atom = wavelet_atom(spec, level, 0, rates.shape[0], band=band)
+    return _undec_analysis(rates, np.trim_zeros(atom, "b") ** 2, 1)
 
 
 def _merge_sparse_bins(expected, minimum=5.0):
@@ -329,13 +327,13 @@ class _BandSums:
 
     s1 and s2 are per-coefficient sums of values and squares; d1 and d2
     sum each sample's mean deviation from the prediction over the valid
-    coefficients, and its square.
+    coefficients, and its square. valid must hold a True, which the
+    harness checks before the first sample.
     """
 
     def __init__(self, mean, valid):
         self.mean = mean
         self.valid = valid
-        self.any_valid = bool(valid.any())
         self.s1 = np.zeros_like(mean)
         self.s2 = np.zeros_like(mean)
         self.d1 = 0.0
@@ -348,15 +346,12 @@ class _BandSums:
         totals do not depend on how the samples were batched. The
         samples are read from one samples-first copy, each contiguous.
         """
-        samples = np.moveaxis(stack, -1, 0).copy()
-        squares = samples * samples
-        for sample, square in zip(samples, squares):
+        for sample in np.moveaxis(stack, -1, 0).copy():
             self.s1 += sample
-            self.s2 += square
-            if self.any_valid:
-                diff = float((sample - self.mean)[self.valid].mean())
-                self.d1 += diff
-                self.d2 += diff * diff
+            self.s2 += sample * sample
+            diff = float((sample - self.mean)[self.valid].mean())
+            self.d1 += diff
+            self.d2 += diff * diff
 
 
 def run_distribution_experiment(spec, transform, samples, seed,
@@ -375,8 +370,8 @@ def run_distribution_experiment(spec, transform, samples, seed,
     Parameters
     ----------
     spec : PhantomSpec
-        At least one of its rates must stay positive through the
-        transform; that is checked before the first sample is drawn.
+        Its propagated rates must give every band a positive prediction;
+        that is checked before the first sample is drawn.
     transform : TransformConfig
     samples : int
         Monte-Carlo sample count, an integer >= 100.
@@ -412,10 +407,6 @@ def run_distribution_experiment(spec, transform, samples, seed,
     if wavelet is not None:
         _check_length(_column_length(intensity.shape, transform), wavelet)
     rates = propagate_intensity(intensity, transform).data
-    if not (rates > 0).any():
-        raise ValueError(
-            "every propagated rate is 0, so every sample would be 0; "
-            "the phantom needs a positive intensity")
     n_off, n_cols = rates.shape
 
     # (band, level, predicted mean, predicted variance, driver) per band
@@ -430,6 +421,11 @@ def run_distribution_experiment(spec, transform, samples, seed,
         bands.append(("approximation", wavelet.levels, pred.approximation,
                       var, pred.approximation))
     sums = [_BandSums(mean, driver > 0) for _, _, mean, _, driver in bands]
+    if not all(acc.valid.any() for acc in sums):
+        raise ValueError(
+            "every propagated rate is 0 (or so small that a band's "
+            "prediction underflows to 0), so every sample would be 0; "
+            "the phantom needs a positive intensity")
 
     gof_counts = _GofCounts(rates, samples) if gof else None
 
@@ -437,7 +433,6 @@ def run_distribution_experiment(spec, transform, samples, seed,
     batch = max(1, _BATCH_BYTES * scale // rates.nbytes)
     for first in range(0, samples, batch):
         counts = [derive_rng(seed, "mc-sample", i).poisson(intensity)
-                  .astype(np.int64)
                   for i in range(first, min(first + batch, samples))]
         data = propagate_intensity(np.stack(counts, axis=-1), transform).data
         sums[0].add(data)
@@ -461,7 +456,8 @@ def variance_vs_intensity(report):
     """OLS fit of empirical variance on the noiseless driver intensity.
 
     Accepts a DistReport, a list of them (scatters pooled), or a raw
-    (n, 2) array. Needs at least 3 points, all finite.
+    (n, 2) array. Needs at least 3 points, all finite, at 2 or more
+    distinct intensities.
     """
     if isinstance(report, DistReport):
         pts = report.scatter
@@ -473,4 +469,8 @@ def variance_vs_intensity(report):
         raise ValueError("scatter must be an (n, 2) array")
     if not np.isfinite(pts).all():
         raise ValueError("scatter points must be finite")
-    return _ols(pts[:, 0], pts[:, 1])
+    fit = _ols(pts[:, 0], pts[:, 1])
+    if fit is None:
+        raise ValueError("a fit needs at least 3 scatter points at 2 or "
+                         "more distinct intensities")
+    return fit

@@ -117,9 +117,8 @@ def moment_match(atom, intensities):
 
 
 def _tail_cut(lam):
-    # smallest k with the upper Poisson tail below _TAIL
-    if lam <= 0:
-        return 0
+    # smallest k with the upper Poisson tail below _TAIL; lam > 0, which
+    # both callers ensure
     from ._dists import poisson_isf
 
     return int(poisson_isf(_TAIL, lam)) + 1

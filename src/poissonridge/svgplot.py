@@ -11,8 +11,7 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 
 
 def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        return [lo]
+    # hi > lo: emit_scatter_svg pads both ends of every range
     raw = (hi - lo) / count
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)

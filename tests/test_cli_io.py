@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import fields, is_dataclass
 from xml.etree import ElementTree
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import poissonridge.cli as cli
+import poissonridge.fileio as fileio
 import poissonridge.harness as harness
 from poissonridge.cli import main
 from poissonridge.config import (DEFAULTS_TABLE, ConfigError, RunConfig,
@@ -66,6 +68,8 @@ def test_errors_carry_line_number_and_field_name():
         parse_config("seed = 0\nphantom.background_intensity = -3\n")
     with pytest.raises(ConfigError, match=r"line 1.*expected 'key = value'"):
         parse_config("just some words\n")
+    with pytest.raises(ConfigError, match=r"^line 2: empty key"):
+        parse_config("seed = 1\n = 3\n")
     with pytest.raises(ConfigError, match=r"line 1.*seed must be >= 0"):
         parse_config("seed = -1\n")
     # the synthetic sinogram's peak is phantom.background_intensity
@@ -239,6 +243,8 @@ def test_pgm_input_validation(tmp_path):
         write_pgm(tmp_path / "x.pgm", np.array([[0.5]]))
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.zeros(4, dtype=int))
+    with pytest.raises(ValueError, match="nonempty"):
+        write_pgm(tmp_path / "x.pgm", np.zeros((0, 3), dtype=int))
 
 
 def test_pgm_reader_skips_comments(tmp_path):
@@ -250,6 +256,35 @@ def test_pgm_reader_skips_comments(tmp_path):
     bad.write_bytes(b"P6\n1 1\n255\nx")
     with pytest.raises(ValueError, match="P6"):
         read_pgm(bad)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"P5\n2 2\n", "truncated PGM header"),
+    (b"P5\n2 x2\n255\n", "malformed PGM header token"),
+    (b"P5\n0 2\n255\n", "malformed PGM dimensions"),
+    (b"P5\n2 0\n255\n", "malformed PGM dimensions"),
+    (b"P5\n2 2\n0\n", "malformed PGM dimensions"),
+    (b"P5\n2 2\n65536\n", "malformed PGM dimensions"),
+    (b"P5\n2 2\n255\n" + bytes(3), "shorter than header"),
+    (b"P5\n2 2\n300\n" + bytes(7), "shorter than header"),
+], ids=["truncated", "token", "width", "height", "maxval-0", "maxval-wide",
+        "short-8-bit", "short-16-bit"])
+def test_pgm_reader_rejects_bad_files(tmp_path, blob, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(blob)
+    with pytest.raises(ValueError, match=message):
+        read_pgm(p)
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(
+        tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(fileio.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_csv(tmp_path / "a.csv", np.ones((2, 2)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -272,6 +307,22 @@ def test_csv_structure_errors(tmp_path):
     q.write_text("# shape = 2,2\n1,2\n3\n")
     with pytest.raises(ValueError):
         read_csv(q)
+    for text, message in [
+            ("# shape = 1,2\n# note\n1,2\n", "line 2: malformed header line"),
+            ("# shape = 1,2\n1,x\n", "line 2: malformed number"),
+            ("# kind = grid\n1,2\n", "missing shape header")]:
+        q.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_csv(q)
+    with pytest.raises(ValueError, match="1- or 2-D"):
+        write_csv(tmp_path / "cube.csv", np.zeros((2, 2, 2)))
+
+
+def test_csv_reader_skips_blank_lines(tmp_path):
+    p = tmp_path / "blank.csv"
+    p.write_text("# shape = 2,2\n\n1,2\n   \n3,4\n\n")
+    back, meta = read_csv(p)
+    assert np.array_equal(back, [[1.0, 2.0], [3.0, 4.0]]) and meta == {}
 
 
 @pytest.mark.parametrize("meta, message", [
@@ -424,6 +475,30 @@ def test_scatter_svg_single_point_no_fit(tmp_path):
         emit_scatter_svg(np.zeros((0, 2)), tmp_path / "none.svg")
 
 
+@pytest.mark.parametrize("pts", [
+    [[2.0, 3.0]],
+    [[2.0, 0.0], [2.0, 1.0], [2.0, 5.0]],
+    [[0.0, 4.0], [1.0, 4.0], [3.0, 4.0]],
+    [[1.0, 1.0], [np.nextafter(1.0, 2.0), np.nextafter(1.0, 2.0)]],
+    [[1e300, 1e300]],
+    [[1e300, -1e300], [2e300, 1e300]],
+], ids=["single-point", "equal-x", "equal-y", "one-ulp", "at-1e300",
+        "across-1e300"])
+def test_scatter_svg_draws_ticks_on_every_range(tmp_path, pts):
+    # the padding makes every axis range hi > lo before the tick layout
+    # sees it; a zero span would warn in log10 and draw no tick
+    p = tmp_path / "ticks.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emit_scatter_svg(np.array(pts), p)
+    lines = list(ElementTree.parse(p).getroot().iter(
+        "{http://www.w3.org/2000/svg}line"))
+    # x ticks hang below the plot frame (y2 = 435), y ticks left of it
+    # (x1 = 65)
+    assert any(line.get("y2") == "435" for line in lines)
+    assert any(line.get("x1") == "65" for line in lines)
+
+
 def test_scatter_svg_rejects_non_finite_points_and_fit(tmp_path):
     pts = np.column_stack([np.linspace(0, 5, 9), np.linspace(0, 5, 9)])
     p = tmp_path / "bad.svg"
@@ -498,6 +573,17 @@ def test_cli_transform_reads_counts_file(tmp_path):
     assert main(["transform", "-c", cfg, "--input", str(src)]) == 0
     sino = read_sinogram(tmp_path / "out" / "sinogram.csv")
     assert np.array_equal(sino.data, drt_gdb(counts.astype(float)).data)
+
+
+def test_cli_transform_without_input_projects_a_simulated_draw(tmp_path):
+    cfg_path = write_cfg(tmp_path, "phantom.size = 8\ntransform.variant = gdb\n"
+                                   f"seed = 3\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["transform", "-c", cfg_path]) == 0
+    cfg = load_config(cfg_path)
+    counts = sample_poisson(make_phantom(cfg.phantom),
+                            rng=derive_rng(3, "simulate"))
+    sino = read_sinogram(tmp_path / "out" / "sinogram.csv")
+    assert np.array_equal(sino.data, drt_gdb(counts).data)
 
 
 def test_cli_transform_rejects_negative_input(tmp_path, capsys):

@@ -11,7 +11,8 @@ from poissonridge.harness import (DistReport, LineFit, _merge_sparse_bins,
                                   _predicted_variance,
                                   run_distribution_experiment,
                                   variance_vs_intensity)
-from poissonridge.phantoms import PhantomSpec, make_phantom, sample_poisson
+from poissonridge.phantoms import (Bar, PhantomSpec, make_phantom,
+                                  sample_poisson)
 from poissonridge.radon import (TransformConfig, drt_gdb, drt_rotation,
                                 propagate_intensity)
 from poissonridge.seeding import derive_rng
@@ -198,6 +199,25 @@ def test_zero_rate_phantom_rejected_before_sampling(monkeypatch, kind,
                                     gof=True)
 
 
+@pytest.mark.parametrize("transform", [
+    TransformConfig("gdb"), TransformConfig("rotation", 12, "nearest")])
+def test_band_without_positive_prediction_rejected_before_sampling(
+        monkeypatch, transform):
+    # one pixel at the least subnormal rate: its Haar detail variance,
+    # 0.5 * 5e-324, rounds to 0, which would leave that band no
+    # coefficient to average each sample's deviation over
+    def never(*args, **kwargs):
+        raise AssertionError("sampled a band with no positive prediction")
+
+    monkeypatch.setattr(harness, "derive_rng", never)
+    spec = PhantomSpec("inhomogeneous", 2, 5e-324, 0.0,
+                       structures=[Bar(0.5, 0.0, 0.5, 1.0),
+                                   Bar(0.0, 0.5, 0.5, 0.5)])
+    assert np.count_nonzero(make_phantom(spec)) == 1
+    with pytest.raises(ValueError, match="prediction underflows to 0"):
+        run_distribution_experiment(spec, transform, 100, 0, wavelet=WAV)
+
+
 def test_variance_vs_intensity_inputs(gdb_reports):
     r = gdb_reports[0]
     fit = variance_vs_intensity(r)
@@ -218,6 +238,66 @@ def test_variance_vs_intensity_inputs(gdb_reports):
             holed[2, col] = bad
             with pytest.raises(ValueError, match="scatter points must be finite"):
                 variance_vs_intensity(holed)
+
+
+def test_constant_driver_scatter_gets_no_fit():
+    # a 1 px homogeneous phantom gives 4 radon drivers, all 2.0; no line
+    # is determined, so the report carries the NaN fit, not lstsq's
+    # minimum-norm answer
+    r = run_distribution_experiment(PhantomSpec("homogeneous", 1, 2.0),
+                                    TransformConfig("gdb"), 100, 0)[0]
+    assert r.scatter.shape == (4, 2) and np.all(r.scatter[:, 0] == 2.0)
+    assert all(math.isnan(v) for v in (r.slope, r.intercept, r.r_squared))
+    for scatter in (r, np.column_stack([np.full(5, 2.0), np.arange(5.0)])):
+        with pytest.raises(ValueError, match="distinct intensities"):
+            variance_vs_intensity(scatter)
+
+
+@pytest.mark.parametrize("level", [0.0, 1e-7, 0.1, 123.456, 1e6, 1e300])
+def test_horizontal_scatter_is_a_perfect_fit_at_any_level(level):
+    # lstsq leaves rounding in the residuals that scales with y, and the
+    # rounded mean of equal values need not equal them
+    fit = variance_vs_intensity(
+        np.column_stack([np.arange(5.0), np.full(5, level)]))
+    assert fit.r_squared == 1.0
+    assert fit.intercept == pytest.approx(level, rel=1e-12)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+def test_r_squared_does_not_depend_on_the_scale_of_y(exponent):
+    # unscaled, these squares underflow to 0 or overflow to inf
+    x = np.arange(5.0)
+    y = np.array([1.0, 3.0, 2.0, 1.0, 0.0])
+    want = variance_vs_intensity(np.column_stack([x, y])).r_squared
+    got = variance_vs_intensity(
+        np.column_stack([x, np.ldexp(y, exponent)])).r_squared
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("filt", ["haar", "db2"])
+@pytest.mark.parametrize("levels", [1, 2, 3])
+def test_one_positive_rate_gives_every_band_driver_a_positive_entry(filt,
+                                                                     levels):
+    # _BandSums averages each sample's deviation over the coefficients
+    # whose driver is positive; one positive rate anywhere in a column
+    # leaves a positive driver in every band of that column, so the
+    # harness's entry check rejects only rates that are 0 or a few ulps
+    # above it (see
+    # test_band_without_positive_prediction_rejected_before_sampling)
+    spec = WaveletSpec(filt, levels, "undecimated")
+    n = 15  # odd, as Radon columns are
+    for rate in (1.0, 1e-300):
+        rates = np.diag(np.full(n, rate))
+        drivers = [rates, dwt_forward(rates, spec).approximation]
+        drivers += [_predicted_variance(rates, spec, "detail", level)
+                    for level in range(1, levels + 1)]
+        for driver in drivers:
+            assert (driver > 0).any(axis=0).all()
+
+
+def test_normal_ci_of_zero_and_one_values():
+    assert all(math.isnan(v) for v in harness._normal_ci([]))
+    assert harness._normal_ci([2.5]) == (2.5, 2.5)
 
 
 # --- one sample at a time: the loop the batched harness must reproduce ----
@@ -345,9 +425,9 @@ def test_gof_leaves_rate_zero_and_single_group_rates_untested():
 
 
 def dense_atoms(spec, level, band, n):
-    nb = n // 2 ** level if spec.mode == "decimated" else n
+    # undecimated: one atom per position
     return np.stack([wavelet_atom(spec, level, k, n, band=band)
-                     for k in range(nb)])
+                     for k in range(n)])
 
 
 def one_sample_at_a_time(spec, transform, samples, seed, wavelet):
@@ -431,7 +511,9 @@ def test_batched_run_matches_one_sample_at_a_time(monkeypatch, batch_bytes,
     assert reports[0].gof_tested == tested
 
 
-@pytest.mark.parametrize("mode", ["undecimated", "decimated"])
+# the harness takes undecimated wavelets only
+# (test_decimated_wavelet_rejected_before_sampling)
+@pytest.mark.parametrize("mode", ["undecimated"])
 @pytest.mark.parametrize("filt", ["haar", "db2"])
 @pytest.mark.parametrize("levels", [1, 2, 3])
 def test_band_predictions_match_dense_atoms(mode, filt, levels):

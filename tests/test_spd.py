@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import poissonridge.spd as spd
 from poissonridge.spd import (SpdParams, _exact_coeff_pmf, _tv_between,
                               moment_match, spd_pmf, wavelet_coeff_dist)
 from poissonridge.wavelet import WaveletSpec, wavelet_atom
@@ -94,6 +97,7 @@ def test_one_sided_and_empty_atoms():
     zero = moment_match(np.zeros(4), np.ones(4))
     assert zero == SpdParams(0.0, 0.0, 0.0, 0.0)
     assert spd_pmf(zero, 0.0) == pytest.approx(1.0)
+    assert _exact_coeff_pmf(np.zeros(3), [1.0, 2.0, 3.0]) == {0.0: 1.0}
 
 
 def test_unit_weights_reduce_to_skellam():
@@ -115,6 +119,9 @@ def test_pmf_one_sided_is_scaled_poisson():
             stats.poisson.pmf(k, 3.0), abs=1e-13)
     # off-lattice values have no mass
     assert spd_pmf(params, 0.3) == 0.0
+    # a minus side alone mirrors its Poisson law
+    assert spd_pmf(SpdParams(0.0, 0.0, 1.0, 2.0), -1.0) == pytest.approx(
+        stats.poisson.pmf(1, 2.0), abs=1e-15)
 
 
 def test_pmf_sums_to_one_over_lattice():
@@ -201,3 +208,35 @@ def test_dist_matches_direct_moment_match():
     lam = np.array([1.0, 2.0, 3.0])
     params, _ = wavelet_coeff_dist(atom, lam)
     assert params == moment_match(atom, lam)
+
+
+def test_zero_rate_sides_never_reach_the_tail_cut(monkeypatch):
+    # the tail cut takes a positive rate only: moment_match gives a side
+    # without mass (0, 0), and both enumerations skip zero rates
+    tail_cut = spd._tail_cut
+
+    def positive_only(lam):
+        assert lam > 0, f"tail cut of rate {lam!r}"
+        return tail_cut(lam)
+
+    monkeypatch.setattr(spd, "_tail_cut", positive_only)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params, tv = wavelet_coeff_dist([1.0, -1.0, 0.5], [2.0, 0.0, 0.0])
+        assert params == SpdParams(1.0, 2.0, 0.0, 0.0)
+        # one Po(2) count with unit weight: the model is the exact law
+        assert tv <= 1e-12
+        params, tv = wavelet_coeff_dist([1.0, 0.5], [2.0, 3.0])
+        assert params.alpha_minus == 0.0 and params.lambda_minus == 0.0
+        assert 0.0 <= tv <= 1.0
+        assert spd_pmf(params, 0.0) == pytest.approx(
+            stats.poisson.pmf(0, params.lambda_plus), abs=1e-15)
+
+
+def test_oversized_exact_enumeration_reports_no_distance():
+    # three distinct weights at rate 1000 need about 1230**3 lattice
+    # points, past the 5 M the exact enumeration takes on
+    atom, lam = [1.0, 2.0, 3.0], [1000.0, 1000.0, 1000.0]
+    assert _exact_coeff_pmf(atom, lam) is None
+    params, tv = wavelet_coeff_dist(atom, lam)
+    assert params == moment_match(atom, lam) and tv is None

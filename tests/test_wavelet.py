@@ -89,6 +89,9 @@ def test_decimated_length_divisibility_enforced():
     for levels in (2, 3):
         with pytest.raises(ValueError, match="divisible"):
             dwt_forward(x, WaveletSpec("haar", levels, "decimated"))
+    # 4 is divisible by 2**2, but level 2 sees 2 samples of a 4-tap filter
+    with pytest.raises(ValueError, match="too short for 2 decimated levels"):
+        dwt_forward(np.zeros(4), WaveletSpec("db2", 2, "decimated"))
 
 
 @pytest.mark.parametrize("filt", ["haar", "db2"])
@@ -375,3 +378,9 @@ def test_atoms_match_adjoint_walk_reference(mode, filt):
                     assert np.array_equal(
                         wavelet_atom(spec, level, k, n, band),
                         adjoint_walk_atom(spec, level, k, n, band))
+
+
+def test_inverse_rejects_a_pyramid_whose_length_disagrees():
+    pyr = dwt_forward(np.arange(8.0), WaveletSpec("haar", 1, "undecimated"))
+    with pytest.raises(ValueError, match="reconstructs to length 8, expected 9"):
+        dwt_inverse(replace(pyr, original_length=9))
