@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phantoms import make_phantom, validate_intensity
+from .phantoms import make_phantom
 from .radon import _check_column_wavelet, _column_length, propagate_intensity
 from .seeding import derive_rng
 from .wavelet import (_check_length, _undec_analysis, dwt_forward,
@@ -55,12 +55,8 @@ def _check_run_counts(samples, seed):
 
 # Samples are transformed in batches holding about this many bytes of
 # Radon data each (one sample's sinogram is rates.nbytes), which keeps
-# peak memory flat; no result depends on it. The rotation projector pays
-# a fixed cost per angle and batch, so its batches get four times the
-# budget; the gdb recursion has no such cost and runs fastest on small
-# batches.
+# peak memory flat; no result depends on it.
 _BATCH_BYTES = 2 ** 19
-_ROTATION_BATCH_SCALE = 4
 
 
 def _normal_ci(values):
@@ -403,7 +399,7 @@ def run_distribution_experiment(spec, transform, samples, seed,
             "chi-square GOF needs integer-valued coefficients "
             "(gdb variant or nearest interpolation)")
 
-    intensity = validate_intensity(make_phantom(spec))
+    intensity = make_phantom(spec)
     if wavelet is not None:
         _check_length(_column_length(intensity.shape, transform), wavelet)
     rates = propagate_intensity(intensity, transform).data
@@ -429,8 +425,7 @@ def run_distribution_experiment(spec, transform, samples, seed,
 
     gof_counts = _GofCounts(rates, samples) if gof else None
 
-    scale = _ROTATION_BATCH_SCALE if transform.variant == "rotation" else 1
-    batch = max(1, _BATCH_BYTES * scale // rates.nbytes)
+    batch = max(1, _BATCH_BYTES // rates.nbytes)
     for first in range(0, samples, batch):
         counts = [derive_rng(seed, "mc-sample", i).poisson(intensity)
                   for i in range(first, min(first + batch, samples))]

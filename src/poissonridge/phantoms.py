@@ -204,7 +204,10 @@ def make_phantom(spec):
     # synthetic-sinogram, the one kind left
     head = _head_phantom(size)
     sino = drt_rotation(head, angles=size, interp="area")
-    return sino.data * (lam / sino.data.max())
+    peak = sino.data.max()
+    if lam / peak < np.finfo(float).tiny:  # lam / peak lost bits: divide first
+        return sino.data / peak * lam
+    return sino.data * (lam / peak)
 
 
 def sample_poisson(intensity, rng=None, seed=None):
@@ -228,4 +231,4 @@ def sample_poisson(intensity, rng=None, seed=None):
     lam = validate_intensity(intensity)
     if rng is None:
         rng = derive_rng(0 if seed is None else seed, "sample-poisson")
-    return rng.poisson(lam).astype(np.int64)
+    return rng.poisson(lam)

@@ -193,7 +193,7 @@ def _angle_array(angles):
     return arr
 
 
-def _angle_orbits(thetas, h, w, fold=True):
+def _angle_orbits(thetas, h, w):
     """Group angle bins into orbits that share one offset geometry.
 
     Returns a list of (t, cols): member m of an orbit projects view m of
@@ -203,11 +203,11 @@ def _angle_orbits(thetas, h, w, fold=True):
     when the grid is square and thetas is bit-equal to the uniform
     pi * arange(n) / n with n % 4 == 0, base bin k in 0..n/4 serves
     {k, n/2 + k, n - k, n/2 - k}; k = 0 and k = n/4 serve only their
-    first two. Every other input, and fold=False, gets one-angle orbits.
+    first two. Every other input gets one-angle orbits.
     """
     n = len(thetas)
     uniform = n % 4 == 0 and np.array_equal(thetas, np.pi * np.arange(n) / n)
-    if not (fold and h == w and uniform):
+    if not (h == w and uniform):
         return [(t, (k,)) for k, t in enumerate(thetas)]
     q, half = n // 4, n // 2
     orbits = [(thetas[0], (0, half))]
@@ -315,8 +315,9 @@ def drt_rotation(img, angles=180, interp="linear"):
     Angles are grouped by _angle_orbits: on a square grid with a
     uniform angle count divisible by 4, one pass of _orbit_taps serves
     up to four angles, each projecting a turned or mirrored view of the
-    image (``nearest`` is never folded, because np.rint breaks exact
-    half-integer ties differently on the folded geometry). Each orbit
+    image. ``nearest`` takes np.rint of the offset computed on that view
+    at the base angle; within rounding of a half-integer that can be the
+    other nearest bin than np.rint at the projected angle. Each orbit
     lays out the deposit bins of all stack entries once, entry e's
     offset by e * nr, weights every view with one multiply per tap
     part, and deposits each view with its own np.bincount: within an
@@ -342,7 +343,7 @@ def drt_rotation(img, angles=180, interp="linear"):
     batch = arr.shape[2:]
     n_img = math.prod(batch)
     npix = h * w
-    orbits = _angle_orbits(thetas, h, w, fold=interp != "nearest")
+    orbits = _angle_orbits(thetas, h, w)
     n_views = max(len(cols) for _, cols in orbits)
     # vals[v * n_img + e] is stack entry e seen through view v
     vals = np.concatenate([view.reshape(npix, n_img).T
@@ -491,11 +492,11 @@ def _backproject(data, thetas, shape, interp):
 
     data[offset, angle] has a row for every bin that drt_rotation
     deposits an image of this shape into. Each tap part (pixels, lead,
-    tap) of _orbit_taps, walked with drt_rotation's folding, gathers
+    tap) of _orbit_taps, walked over drt_rotation's orbits, gathers
     tap * data[row + lead, col] into the image of col's view.
     """
     h, w = shape
-    orbits = _angle_orbits(thetas, h, w, fold=interp != "nearest")
+    orbits = _angle_orbits(thetas, h, w)
     # columns[k, 1 + j] is data[j, k]; the zero ahead serves lead -1
     columns = np.pad(data.T, ((0, 0), (1, 0)))
     acc = np.zeros((max(len(cols) for _, cols in orbits), h * w))

@@ -114,7 +114,7 @@ def estimate_band_noise(band, approx, spec, level):
     variances = np.clip(approx, 0.0, None) / gain
     med = float(np.median(variances)) if variances.size else 0.0
     return BandNoiseModel(variances=variances,
-                          scale=float(np.sqrt(max(med, 0.0))))
+                          scale=float(np.sqrt(med)))
 
 
 def threshold_grid(policy, scale):

@@ -95,6 +95,15 @@ def test_synthetic_sinogram_scales_linearly_with_background_intensity():
     assert np.allclose(hi, 3.0 * lo)
 
 
+@pytest.mark.parametrize("peak", [5e-324, 1e-320])
+def test_synthetic_sinogram_keeps_a_subnormal_peak(peak):
+    # peak / max(sinogram) underflows at these rates, so the sinogram is
+    # divided by its maximum before it is scaled
+    sino = make_phantom(PhantomSpec(kind="synthetic-sinogram", size=8,
+                                    background_intensity=peak))
+    assert sino.max() == peak
+
+
 def test_peak_factor_is_not_a_spec_field():
     # the sinogram's peak is background_intensity itself
     with pytest.raises(TypeError, match="peak_factor"):

@@ -373,8 +373,52 @@ def test_rotation_matches_per_tap_reference(interp, shape, angles):
     sino = drt_rotation(img, angles=angles, interp=interp)
     expected = per_tap_rotation(img, sino.angles, interp)
     assert sino.data.shape == expected.shape
-    assert np.abs(sino.data - expected).max() <= 1e-12 * np.abs(expected).max()
     assert sino.data.min() >= 0.0
+    folded = len(_angle_orbits(sino.angles, *shape)) < sino.angles.size
+    if interp == "nearest" and folded:
+        # a folded tie may round to either nearest bin: each bin lies
+        # between the reference without the tied pixels and with each
+        # of them in both its bins, and every column keeps the mass
+        low, high = nearest_tie_bounds(img, sino.angles)
+        tol = 1e-12 * high.max()
+        assert np.all(low - tol <= sino.data)
+        assert np.all(sino.data <= high + tol)
+        assert np.allclose(sino.data.sum(axis=0), img.sum(), rtol=1e-12,
+                           atol=0)
+    else:
+        assert (np.abs(sino.data - expected).max()
+                <= 1e-12 * np.abs(expected).max())
+
+
+def nearest_offsets(shape, thetas):
+    """Offsets r[angle, pixel] of the raster-order pixels of a centred
+    grid, computed at each angle directly, and where they lie within
+    1e-9 of a half-integer."""
+    h, w = shape
+    ys, xs = np.divmod(np.arange(h * w), w)
+    r = (np.outer(np.cos(thetas), xs - (w - 1) / 2.0)
+         + np.outer(np.sin(thetas), ys - (h - 1) / 2.0))
+    return r, np.abs(r - np.floor(r) - 0.5) < 1e-9
+
+
+def nearest_tie_bounds(img, thetas):
+    """Per-bin bounds on a nearest projection whose ties may round
+    either way: (low, high), where low leaves every tied pixel out and
+    high puts each into both its neighbouring bins."""
+    h, w = img.shape
+    radius = _rotation_radius(h, w)
+    r, tie = nearest_offsets((h, w), thetas)
+    v = img.ravel()
+    low = np.zeros((2 * radius + 1, thetas.size))
+    high = np.zeros_like(low)
+    for k in range(thetas.size):
+        near = np.rint(r[k]).astype(np.intp) + radius
+        below = np.floor(r[k]).astype(np.intp) + radius
+        np.add.at(low[:, k], near[~tie[k]], v[~tie[k]])
+        high[:, k] = low[:, k]
+        np.add.at(high[:, k], below[tie[k]], v[tie[k]])
+        np.add.at(high[:, k], below[tie[k]] + 1, v[tie[k]])
+    return low, high
 
 
 def reference_area_taps(frac, a, b):
@@ -514,7 +558,7 @@ def one_bincount_per_orbit(stack, angles, interp):
     h, w, n_img = stack.shape
     npix = h * w
     thetas = _angle_array(angles)
-    orbits = _angle_orbits(thetas, h, w, fold=interp != "nearest")
+    orbits = _angle_orbits(thetas, h, w)
     n_views = max(len(cols) for _, cols in orbits)
     vals = np.concatenate([view.reshape(npix, n_img).T
                            for view in _oriented_views(stack, n_views)])
@@ -617,12 +661,6 @@ def test_angle_orbits_fall_back_to_one_angle(thetas, shape):
     assert [t for t, _ in orbits] == list(thetas)
 
 
-def test_angle_orbits_fold_off():
-    thetas = np.pi * np.arange(8) / 8
-    orbits = _angle_orbits(thetas, 8, 8, fold=False)
-    assert [members for _, members in orbits] == [(k,) for k in range(8)]
-
-
 @pytest.mark.parametrize("interp", ["linear", "area"])
 @pytest.mark.parametrize("size", [8, 9, 64])
 @pytest.mark.parametrize("n", [4, 8, 180])
@@ -644,17 +682,25 @@ def test_folded_stack_is_per_image_drt_rotation(interp, size, n):
         assert np.array_equal(data[..., k], alone)
 
 
-@pytest.mark.parametrize("size", [9, 64])
-def test_nearest_is_not_folded(size):
-    # np.rint breaks exact half-integer ties differently on a folded
-    # geometry, which would move whole counts between bins (at 90 degrees
-    # on even grids, 60 and 120 on odd ones); nearest keeps the per-angle
-    # projection bit for bit
-    img = np.random.default_rng(size).poisson(3.0, size=(size, size)).astype(float)
-    sino = drt_rotation(img, angles=180, interp="nearest")
-    for k, t in enumerate(sino.angles):
-        alone = drt_rotation(img, angles=np.array([t]), interp="nearest")
-        assert np.array_equal(sino.data[:, k], alone.data[:, 0])
+@pytest.mark.parametrize("size", [9, 16])
+def test_folded_nearest_bins_each_pixel_at_a_nearest_offset(size):
+    # one one-hot image per pixel: its whole mass lands in one bin per
+    # angle, the np.rint of its offset at that angle, or either
+    # neighbouring bin where that offset is a half-integer to rounding
+    # (every pixel at 0 degrees on even grids)
+    npix = size * size
+    onehot = np.eye(npix).reshape(size, size, npix)
+    sino = drt_rotation(onehot, angles=180, interp="nearest")
+    assert len(_angle_orbits(sino.angles, size, size)) < 180
+    assert np.array_equal(np.count_nonzero(sino.data, axis=0),
+                          np.ones((180, npix)))
+    assert np.array_equal(sino.data.sum(axis=0), np.ones((180, npix)))
+    row = sino.data.argmax(axis=0) + sino.offset_min
+    r, tie = nearest_offsets((size, size), sino.angles)
+    assert tie.any()
+    assert np.array_equal(row[~tie], np.rint(r[~tie]))
+    assert np.all((row[tie] == np.floor(r[tie]))
+                  | (row[tie] == np.floor(r[tie]) + 1))
 
 
 def per_angle_fbp(sino):
