@@ -22,7 +22,7 @@ from .harness import LineFit, run_distribution_experiment
 from .metrics import mse, psnr, ssim_global
 from .phantoms import make_phantom, sample_poisson
 from .radon import propagate_intensity
-from .ridgelet import DenoiseConfig, denoise_full
+from .ridgelet import denoise_full
 from .seeding import derive_rng
 from .svgplot import emit_scatter_svg
 
@@ -165,10 +165,8 @@ def _cmd_denoise(args):
                             rng=derive_rng(cfg.seed, "denoise-sample"))
     report.timings.append(("simulate", time.perf_counter() - t0))
 
-    pipeline = DenoiseConfig(transform=cfg.transform, wavelet=cfg.wavelet,
-                             policy=cfg.policy, entry=cfg.entry)
     t0 = time.perf_counter()
-    result = denoise_full(counts, pipeline, reference=reference)
+    result = denoise_full(counts, cfg, reference=reference)
     report.timings.append(("denoise", time.perf_counter() - t0))
     report.thresholds = list(enumerate(result.thresholds, start=1))
 

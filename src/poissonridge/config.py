@@ -23,9 +23,7 @@ from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
 
 from .harness import _check_run_counts
 from .phantoms import Bar, Disk, PhantomSpec
-from .radon import TransformConfig
-from .ridgelet import _ENTRIES
-from .shrinkage import ThresholdPolicy
+from .ridgelet import DenoiseConfig
 from .wavelet import WaveletSpec
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config",
@@ -37,27 +35,23 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """Everything an experiment needs besides the subcommand itself.
+class RunConfig(DenoiseConfig):
+    """Everything an experiment needs besides the subcommand itself: the
+    pipeline settings and defaults of DenoiseConfig plus the phantom and
+    the run.
 
-    Construction rejects an unknown entry, a seed or sample count that
-    is not an integer, a negative seed and fewer samples than the
-    Monte-Carlo harness accepts.
+    Construction also rejects a seed or sample count that is not an
+    integer, a negative seed and fewer samples than the Monte-Carlo
+    harness accepts.
     """
 
     phantom: PhantomSpec = field(default_factory=PhantomSpec)
-    transform: TransformConfig = field(default_factory=TransformConfig)
-    wavelet: WaveletSpec = field(default_factory=WaveletSpec)
-    policy: ThresholdPolicy = field(default_factory=ThresholdPolicy)
-    entry: str = "image"
     samples: int = 1000
     seed: int = 0
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.entry not in _ENTRIES:
-            raise ValueError(
-                f"unknown entry mode {self.entry!r}; expected one of {_ENTRIES}")
+        super().__post_init__()
         _check_run_counts(self.samples, self.seed)
 
 

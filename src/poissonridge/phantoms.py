@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .radon import _nonnegative_grid, drt_rotation
 from .seeding import derive_rng
 
 __all__ = [
@@ -132,23 +133,6 @@ def validate_intensity(image):
     return _nonnegative_grid(image, "intensity image", "rate")
 
 
-def _nonnegative_grid(values, name, unit, stack=False):
-    """values as a float array; ValueError unless finite, non-negative
-    and 2-D with no empty axis (with stack=True, also a stack of 2-D
-    grids along trailing axes)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2 and not (stack and arr.ndim > 2):
-        kind = "2-D or a stack of 2-D grids" if stack else "2-D"
-        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
-    if 0 in arr.shape[:2]:
-        raise ValueError(f"{name} has an empty axis: shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} has negative {unit}s, min {arr.min()!r}")
-    return arr
-
-
 def _head_phantom(size):
     y, x = np.mgrid[0:size, 0:size]
     # map pixel centers to [-1, 1]
@@ -198,8 +182,6 @@ def make_phantom(spec):
                 x1, y1 = x0 + shape.width * size, y0 + shape.height * size
                 img[(y >= y0) & (y < y1) & (x >= x0) & (x < x1)] = level
         return img
-
-    from .radon import drt_rotation  # local import keeps module load light
 
     # synthetic-sinogram, the one kind left
     head = _head_phantom(size)

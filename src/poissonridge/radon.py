@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phantoms import _nonnegative_grid
-
 __all__ = [
     "Sinogram",
     "TransformConfig",
@@ -34,6 +32,23 @@ __all__ = [
 ]
 
 _ROTATION_MODES = ("nearest", "linear", "area")
+
+
+def _nonnegative_grid(values, name, unit, stack=False):
+    """values as a float array; ValueError unless finite, non-negative
+    and 2-D with no empty axis (with stack=True, also a stack of 2-D
+    grids along trailing axes)."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 and not (stack and arr.ndim > 2):
+        kind = "2-D or a stack of 2-D grids" if stack else "2-D"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
+    if 0 in arr.shape[:2]:
+        raise ValueError(f"{name} has an empty axis: shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+    if np.any(arr < 0):
+        raise ValueError(f"{name} has negative {unit}s, min {arr.min()!r}")
+    return arr
 
 
 @dataclass

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .phantoms import _nonnegative_grid
 # drt_rotation is not called here (propagate_intensity projects); the
 # name stays bound because bench/selftest.py checks through it that the
 # benchmark tracer also wraps names re-exported into other modules.
 from .radon import TransformConfig, _check_column_wavelet, _column_length, \
-    drt_rotation, fbp_invert, propagate_intensity  # noqa: F401
+    _nonnegative_grid, drt_rotation, fbp_invert, \
+    propagate_intensity  # noqa: F401
 from .shrinkage import ThresholdPolicy, estimate_band_noise, \
     select_threshold, soft_threshold
 from .wavelet import WaveletSpec, _analysis_cascade, _check_length, \
@@ -49,16 +49,15 @@ class DenoiseConfig:
     """
 
     transform: TransformConfig = field(
-        default_factory=lambda: TransformConfig(variant="rotation", angles=180,
-                                                interp="area"))
-    wavelet: WaveletSpec = field(
-        default_factory=lambda: WaveletSpec("haar", levels=1, mode="undecimated"))
+        default_factory=lambda: TransformConfig(interp="area"))
+    wavelet: WaveletSpec = field(default_factory=WaveletSpec)
     policy: ThresholdPolicy = field(default_factory=ThresholdPolicy)
     entry: str = "image"
 
     def __post_init__(self):
         if self.entry not in _ENTRIES:
-            raise ValueError(f"unknown entry mode {self.entry!r}")
+            raise ValueError(
+                f"unknown entry mode {self.entry!r}; expected one of {_ENTRIES}")
 
 
 @dataclass

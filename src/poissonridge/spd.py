@@ -35,6 +35,9 @@ _TAIL = 1e-12
 # spd_pmf counts a lattice outcome within this distance of w as w
 _TOL = 1e-9
 
+# most outcomes an enumeration takes on (per side in spd_pmf)
+_MAX_OUTCOMES = 5_000_000
+
 
 @dataclass(frozen=True)
 class SpdParams:
@@ -124,29 +127,31 @@ def _tail_cut(lam):
     return int(poisson_isf(_TAIL, lam)) + 1
 
 
-def _side_pmf(lam):
-    # pmf of one sign class's Poisson count on 0.._tail_cut(lam)
-    from ._dists import poisson_pmf
-
-    return poisson_pmf(np.arange(_tail_cut(lam) + 1), lam) if lam > 0 else np.ones(1)
-
-
 def spd_pmf(params, w):
     """Probability that the modeled coefficient equals w.
 
     Enumerates the (p, m) count lattice with Poisson tails below 1e-12
     truncated, and accumulates the outcomes whose value
     alpha_plus * p - alpha_minus * m lies within 1e-9 of w. Accepts a
-    finite scalar or an array of finite outcome values.
+    finite scalar or an array of finite outcome values. Raises
+    ValueError, before enumerating, when a side has more than 5e6
+    outcomes (a rate above about 4.98e6).
     """
+    from ._dists import poisson_pmf
+
     arr = np.asarray(w, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError(f"outcome values w must be finite, got {w!r}")
     ap, am = params.alpha_plus, params.alpha_minus
-    p_pmf = _side_pmf(params.lambda_plus)
-    m_pmf = _side_pmf(params.lambda_minus)
-    p_range = np.arange(p_pmf.size)
-    m_range = np.arange(m_pmf.size)
+    lp, lm = params.lambda_plus, params.lambda_minus
+    # each side's counts 0.._tail_cut; a side without mass has only 0
+    sizes = [_tail_cut(lam) + 1 if lam > 0 else 1 for lam in (lp, lm)]
+    if max(sizes) > _MAX_OUTCOMES:
+        raise ValueError(
+            f"spd_pmf enumerates at most {_MAX_OUTCOMES} outcomes per side; "
+            f"rates ({lp}, {lm}) need {sizes}")
+    p_range, m_range = map(np.arange, sizes)
+    p_pmf, m_pmf = poisson_pmf(p_range, lp), poisson_pmf(m_range, lm)
 
     def one(wv):
         if am == 0.0:
@@ -189,7 +194,7 @@ def _exact_coeff_pmf(atom, intensities):
     if not groups:
         return {0.0: 1.0}
     cuts = [(p, l, _tail_cut(l)) for p, l in groups.items()]
-    if math.prod(hi + 1 for _, _, hi in cuts) > 5_000_000:
+    if math.prod(hi + 1 for _, _, hi in cuts) > _MAX_OUTCOMES:
         return None
     dist = {0.0: 1.0}
     for p, l, hi in cuts:

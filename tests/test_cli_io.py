@@ -17,6 +17,7 @@ from poissonridge.fileio import (read_csv, read_pgm, read_sinogram, write_csv,
 from poissonridge.harness import LineFit
 from poissonridge.phantoms import Bar, Disk, make_phantom, sample_poisson
 from poissonridge.radon import drt_gdb, drt_rotation
+from poissonridge.ridgelet import DenoiseConfig, denoise_full
 from poissonridge.seeding import derive_rng
 from poissonridge.svgplot import emit_scatter_svg
 
@@ -663,6 +664,18 @@ output_dir = {tmp_path / 'out'}
     denoised, _ = read_csv(tmp_path / "out" / "denoised.csv")
     assert denoised.shape == (16, 16)
     assert read_pgm(tmp_path / "out" / "noisy.pgm").shape == (16, 16)
+
+
+def test_cli_default_denoise_is_the_library_default(tmp_path, capsys):
+    # RunConfig is DenoiseConfig plus the run: with no config file the
+    # command denoises with DenoiseConfig()'s settings, bit for bit
+    assert main(["denoise", "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    reference = make_phantom(RunConfig().phantom)
+    counts = sample_poisson(reference, rng=derive_rng(0, "denoise-sample"))
+    want = denoise_full(counts, DenoiseConfig(), reference=reference).image
+    denoised, _ = read_csv(tmp_path / "denoised.csv")
+    assert np.array_equal(denoised, want)
 
 
 def test_cli_denoise_selector_override(tmp_path, capsys):

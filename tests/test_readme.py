@@ -20,11 +20,16 @@ def test_quick_start_prints_what_the_readme_says(capsys):
 
 def test_key_block_lists_the_defaults_table_keys_in_order():
     # the command-line section says its key block is the same list as
-    # config.DEFAULTS_TABLE; the first column of each must agree
+    # config.DEFAULTS_TABLE: the keys must agree in order, and each
+    # default with the first alternative of its README row
     section = README.read_text(encoding="utf-8").split(
         "## Command line", 1)[1].split("\n## ", 1)[0]
     after = section.split("`config.DEFAULTS_TABLE` is the same list", 1)[1]
     block = after.split("```\n", 1)[1].split("```", 1)[0]
-    readme_keys = [line.split()[0] for line in block.splitlines() if line.strip()]
-    table_keys = [line.split()[0] for line in DEFAULTS_TABLE.splitlines()[1:]]
-    assert readme_keys == table_keys
+    readme_rows = [(key, value.split(" | ")[0])
+                   for key, value in (line.split(None, 1)
+                                      for line in block.splitlines()
+                                      if line.strip())]
+    table_rows = [tuple(line.split(None, 1))
+                  for line in DEFAULTS_TABLE.splitlines()[1:]]
+    assert readme_rows == table_rows

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import poissonridge.ridgelet as ridgelet
 import poissonridge.wavelet as wavelet
+from poissonridge.config import ConfigError, parse_config
 from poissonridge.metrics import mse
 from poissonridge.phantoms import PhantomSpec, make_phantom, sample_poisson
 from poissonridge.radon import (TransformConfig, drt_gdb, drt_rotation,
@@ -40,6 +41,12 @@ def test_defaults_are_rotation_area_haar_undecimated():
 def test_entry_validation():
     with pytest.raises(ValueError):
         DenoiseConfig(entry="projections")
+    # the config parser reports the library's message for the same entry
+    with pytest.raises(ValueError) as lib:
+        DenoiseConfig(entry="x")
+    with pytest.raises(ConfigError,
+                       match=rf"^line 1: entry: {re.escape(str(lib.value))}$"):
+        parse_config("entry = x")
 
 
 def test_sinogram_entry_soft_thresholds_details_at_returned_taus():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import poissonridge._dists as dists
 import poissonridge.spd as spd
 from poissonridge.spd import (SpdParams, _exact_coeff_pmf, _tv_between,
                               moment_match, spd_pmf, wavelet_coeff_dist)
@@ -240,3 +241,17 @@ def test_oversized_exact_enumeration_reports_no_distance():
     assert _exact_coeff_pmf(atom, lam) is None
     params, tv = wavelet_coeff_dist(atom, lam)
     assert params == moment_match(atom, lam) and tv is None
+
+
+def test_pmf_refuses_an_oversized_side_before_enumerating(monkeypatch):
+    # a rate of 1e9 needs about 1e9 outcomes per side, an 8 GB lattice;
+    # the pmf must refuse before it evaluates (or allocates) any of them.
+    # 6e6 (6.02e6 outcomes, just past the bound) comes first, so code
+    # without the bound fails on the patched pmf after a 48 MB lattice
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated an oversized side")
+
+    monkeypatch.setattr(dists, "poisson_pmf", never)
+    for params in (SpdParams(1.0, 6e6, 0.0, 0.0), SpdParams(1.0, 2.0, 1.0, 1e9)):
+        with pytest.raises(ValueError, match="at most 5000000 outcomes per side"):
+            spd_pmf(params, 0.0)
