@@ -13,8 +13,7 @@ from .fileio import (read_csv, read_pgm, read_sinogram, write_csv, write_pgm,
 from .harness import (DistReport, LineFit, run_distribution_experiment,
                       variance_vs_intensity)
 from .metrics import mse, psnr, ssim_global
-from .phantoms import (Bar, Disk, PhantomSpec, make_phantom, sample_poisson,
-                       validate_intensity)
+from .phantoms import Bar, Disk, PhantomSpec, make_phantom, sample_poisson
 from .radon import (Sinogram, TransformConfig, drt_gdb, drt_rotation,
                     fbp_invert, propagate_intensity)
 from .ridgelet import DenoiseConfig, DenoiseResult, denoise, denoise_full
@@ -41,7 +40,7 @@ __all__ = [
     "read_sinogram", "run_distribution_experiment", "sample_poisson",
     "select_threshold", "soft_threshold",
     "spd_pmf", "ssim_global",
-    "threshold_grid", "validate_intensity", "variance_vs_intensity",
+    "threshold_grid", "variance_vs_intensity",
     "wavelet_atom", "wavelet_coeff_dist", "write_csv", "write_pgm",
     "write_sinogram",
 ]

@@ -11,12 +11,12 @@ compares two stored grids. Failures print a single
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import ConfigError, _setting_texts, load_config, parse_config
 from .fileio import read_csv, read_pgm, write_csv, write_pgm, write_sinogram
 from .harness import LineFit, run_distribution_experiment
 from .metrics import mse, psnr, ssim_global
@@ -26,35 +26,7 @@ from .ridgelet import denoise_full
 from .seeding import derive_rng
 from .svgplot import emit_scatter_svg
 
-__all__ = ["main", "RunReport"]
-
-
-@dataclass
-class RunReport:
-    """What a pipeline invocation produced: settings, timings, artifacts."""
-
-    config_echo: list = field(default_factory=list)
-    timings: list = field(default_factory=list)
-    thresholds: list = field(default_factory=list)
-    metric_rows: list = field(default_factory=list)
-    manifest: list = field(default_factory=list)
-
-    def to_text(self):
-        lines = ["[config]"]
-        lines += self.config_echo
-        lines.append("[timings]")
-        lines += [f"{name} = {seconds:.3f} s" for name, seconds in self.timings]
-        if self.thresholds:
-            lines.append("[thresholds]")
-            lines += [f"detail_{level} = {tau:.6g}"
-                      for level, tau in self.thresholds]
-        if self.metric_rows:
-            lines.append("[metrics]")
-            lines += [f"{label}: mse={m:.6g} ssim={s:.6g} psnr={p:.6g}"
-                      for label, m, s, p in self.metric_rows]
-        lines.append("[artifacts]")
-        lines += self.manifest
-        return "\n".join(lines) + "\n"
+__all__ = ["main"]
 
 
 def _load(args):
@@ -64,10 +36,6 @@ def _load(args):
     if args.output_dir:
         cfg = replace(cfg, output_dir=args.output_dir)
     return cfg
-
-
-def _config_echo(cfg):
-    return [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
 
 
 def _out(cfg, name):
@@ -154,7 +122,6 @@ def _cmd_denoise(args):
     cfg = _load(args)
     if args.selector:
         cfg = replace(cfg, policy=replace(cfg.policy, selector=args.selector))
-    report = RunReport(config_echo=_config_echo(cfg))
     t0 = time.perf_counter()
     reference = make_phantom(cfg.phantom)
     if not reference.max() > 0:
@@ -163,12 +130,11 @@ def _cmd_denoise(args):
                          "phantom.background_intensity must be > 0")
     counts = sample_poisson(reference,
                             rng=derive_rng(cfg.seed, "denoise-sample"))
-    report.timings.append(("simulate", time.perf_counter() - t0))
+    simulate_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     result = denoise_full(counts, cfg, reference=reference)
-    report.timings.append(("denoise", time.perf_counter() - t0))
-    report.thresholds = list(enumerate(result.thresholds, start=1))
+    denoise_s = time.perf_counter() - t0
 
     rows = np.array([
         [mse(counts, reference), ssim_global(counts, reference),
@@ -176,7 +142,8 @@ def _cmd_denoise(args):
         [mse(result.image, reference), ssim_global(result.image, reference),
          psnr(result.image, reference)],
     ])
-    report.metric_rows = [("noisy", *rows[0]), ("denoised", *rows[1])]
+    metric_lines = [f"{label}: mse={m:.6g} ssim={s:.6g} psnr={p:.6g}"
+                    for label, (m, s, p) in zip(("noisy", "denoised"), rows)]
 
     artifacts = [
         ("reference.csv", lambda p: write_csv(p, reference)),
@@ -187,18 +154,29 @@ def _cmd_denoise(args):
                       "thresholds": ";".join(
                           "%.17g" % t for t in result.thresholds)})),
     ]
+    manifest = []
     for name, writer in artifacts:
         path = _out(cfg, name)
         writer(path)
-        report.manifest.append(path)
+        manifest.append(path)
     rpath = _out(cfg, "run_report.txt")
-    report.manifest.append(rpath)
+    manifest.append(rpath)
+    # the [config] section is a config file that replays the run
+    report = [
+        "[config]", *(f"{key} = {text}" for key, text in _setting_texts(cfg)),
+        "[timings]", f"simulate = {simulate_s:.3f} s",
+        f"denoise = {denoise_s:.3f} s",
+        "[thresholds]", *(f"detail_{level} = {tau:.6g}" for level, tau
+                          in enumerate(result.thresholds, start=1)),
+        "[metrics]", *metric_lines,
+        "[artifacts]", *manifest,
+    ]
     Path(rpath).parent.mkdir(parents=True, exist_ok=True)
-    Path(rpath).write_text(report.to_text())
-    for path in report.manifest:
+    Path(rpath).write_text("\n".join(report) + "\n")
+    for path in manifest:
         print(f"wrote {path}")
-    for label, m, s, p in report.metric_rows:
-        print(f"{label}: mse={m:.6g} ssim={s:.6g} psnr={p:.6g}")
+    for line in metric_lines:
+        print(line)
     return 0
 
 

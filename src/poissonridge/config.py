@@ -103,7 +103,7 @@ def _format_structures(shapes):
                     for shape in shapes)
 
 
-# type of a default -> (parser of a config value, defaults-table text)
+# type of a default -> (parser of a config value, its config-file text)
 _CODECS = {
     int: (_parser(int, "an integer"), str),
     float: (_parser(float, "a number"), str),
@@ -125,14 +125,18 @@ def _settings(cfg):
                    getattr(value, inner.name))
 
 
-_DEFAULTS = list(_settings(RunConfig()))
+def _setting_texts(cfg):
+    """(key, value text) per setting of cfg, in field order; parse_config
+    reads every text back to its value."""
+    for key, _, _, value in _settings(cfg):
+        yield key, _CODECS[type(value)][1](value)
+
 
 _KEYS = {key: (section, name, _CODECS[type(value)][0])
-         for key, section, name, value in _DEFAULTS}
+         for key, section, name, value in _settings(RunConfig())}
 
 DEFAULTS_TABLE = f"{'key':<30}default\n" + "".join(
-    f"{key:<30}{_CODECS[type(value)][1](value)}\n"
-    for key, _, _, value in _DEFAULTS)
+    f"{key:<30}{text}\n" for key, text in _setting_texts(RunConfig()))
 
 
 def parse_config(text):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .radon import _ROTATION_MODES, Sinogram
+from .radon import _ROTATION_MODES, Sinogram, _angle_array
 
 __all__ = [
     "read_pgm",
@@ -96,6 +96,9 @@ def read_pgm(path):
     if len(raster) < expect:
         raise ValueError("PGM raster shorter than header promises")
     a = np.frombuffer(raster[:expect], dtype=dtype).reshape(height, width)
+    if a.max() > maxval:
+        raise ValueError(
+            f"PGM sample {a.max()} exceeds the header's maxval {maxval}")
     return a.astype(np.int64)
 
 
@@ -189,9 +192,10 @@ def read_sinogram(path):
 
     The offset range and gdb grid edge follow from the data's row count;
     a header whose offset_min or gdb_size disagrees raises ValueError,
-    and so do a rotation header whose angle count is not the column
-    count, a missing header key, an unknown variant or rotation interp,
-    and an image_shape that is not two positive sizes.
+    and so do a rotation header with a non-finite angle or whose angle
+    count is not the column count, a missing header key, an unknown
+    variant or rotation interp, and an image_shape that is not two
+    positive sizes.
     """
     data, meta = read_csv(path)
     if meta.get("kind") != "sinogram":
@@ -215,7 +219,7 @@ def read_sinogram(path):
         interp = header("interp")
         if interp not in _ROTATION_MODES:
             raise ValueError(f"unknown rotation interp {interp!r}")
-        angles = np.array([float(t) for t in header("angles").split(";")])
+        angles = _angle_array([float(t) for t in header("angles").split(";")])
         if angles.size != data.shape[1]:
             raise ValueError(
                 f"header has {angles.size} angles for {data.shape[1]} columns")

@@ -20,7 +20,6 @@ __all__ = [
     "PhantomSpec",
     "make_phantom",
     "sample_poisson",
-    "validate_intensity",
 ]
 
 
@@ -128,11 +127,6 @@ _HEAD_ELLIPSES = [
 ]
 
 
-def validate_intensity(image):
-    """Raise if image is not a finite non-negative 2-D float array."""
-    return _nonnegative_grid(image, "intensity image", "rate")
-
-
 def _head_phantom(size):
     y, x = np.mgrid[0:size, 0:size]
     # map pixel centers to [-1, 1]
@@ -186,10 +180,8 @@ def make_phantom(spec):
     # synthetic-sinogram, the one kind left
     head = _head_phantom(size)
     sino = drt_rotation(head, angles=size, interp="area")
-    peak = sino.data.max()
-    if lam / peak < np.finfo(float).tiny:  # lam / peak lost bits: divide first
-        return sino.data / peak * lam
-    return sino.data * (lam / peak)
+    # dividing first makes the peak exactly 1.0, so the peak rate is lam
+    return sino.data / sino.data.max() * lam
 
 
 def sample_poisson(intensity, rng=None, seed=None):
@@ -198,7 +190,8 @@ def sample_poisson(intensity, rng=None, seed=None):
     Parameters
     ----------
     intensity : ndarray
-        Non-negative rate image.
+        Finite, non-negative 2-D rate image with no empty axis; anything
+        else raises ValueError.
     rng : numpy.random.Generator, optional
         Stream to consume. Takes precedence over seed.
     seed : int, optional
@@ -210,7 +203,7 @@ def sample_poisson(intensity, rng=None, seed=None):
     ndarray
         int64 counts, same shape as intensity.
     """
-    lam = validate_intensity(intensity)
+    lam = _nonnegative_grid(intensity, "intensity image", "rate")
     if rng is None:
         rng = derive_rng(0 if seed is None else seed, "sample-poisson")
     return rng.poisson(lam)

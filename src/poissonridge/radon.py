@@ -34,10 +34,10 @@ __all__ = [
 _ROTATION_MODES = ("nearest", "linear", "area")
 
 
-def _nonnegative_grid(values, name, unit, stack=False):
-    """values as a float array; ValueError unless finite, non-negative
-    and 2-D with no empty axis (with stack=True, also a stack of 2-D
-    grids along trailing axes)."""
+def _finite_grid(values, name, stack=False):
+    """values as a float array; ValueError unless finite and 2-D with no
+    empty axis (with stack=True, also a stack of 2-D grids along
+    trailing axes)."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2 and not (stack and arr.ndim > 2):
         kind = "2-D or a stack of 2-D grids" if stack else "2-D"
@@ -46,6 +46,12 @@ def _nonnegative_grid(values, name, unit, stack=False):
         raise ValueError(f"{name} has an empty axis: shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
+    return arr
+
+
+def _nonnegative_grid(values, name, unit, stack=False):
+    """_finite_grid, and ValueError on a negative entry."""
+    arr = _finite_grid(values, name, stack)
     if np.any(arr < 0):
         raise ValueError(f"{name} has negative {unit}s, min {arr.min()!r}")
     return arr
@@ -143,18 +149,6 @@ def _drt_single_quadrant(a):
     return z[0, :, :2 * n - 1]    # [slope, h index, ...], h in [-(n-1), n-1]
 
 
-def _image_stack(img):
-    arr = np.asarray(img, dtype=float)
-    if arr.ndim < 2:
-        raise ValueError(
-            f"image must be 2-D or a stack of 2-D images, got shape {arr.shape}")
-    if 0 in arr.shape[:2]:
-        raise ValueError(f"image has an empty spatial axis: shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("image must be finite: it holds NaN or infinite pixels")
-    return arr
-
-
 def _gdb_edge(h, w):
     """Power-of-two edge n that drt_gdb pads an h x w image to."""
     n = 1
@@ -177,7 +171,7 @@ def drt_gdb(img):
     entry is bit-identical to transforming that image alone. NaN or
     infinite pixels raise ValueError.
     """
-    arr = _image_stack(img)
+    arr = _finite_grid(img, "image", stack=True)
     n = _gdb_edge(*arr.shape[:2])
     a = np.zeros((n, n) + arr.shape[2:])
     a[:arr.shape[0], :arr.shape[1]] = arr
@@ -352,7 +346,7 @@ def drt_rotation(img, angles=180, interp="linear"):
     """
     if interp not in _ROTATION_MODES:
         raise ValueError(f"unknown interpolation mode {interp!r}")
-    arr = _image_stack(img)
+    arr = _finite_grid(img, "image", stack=True)
     thetas = _angle_array(angles)
     h, w = arr.shape[:2]
     batch = arr.shape[2:]

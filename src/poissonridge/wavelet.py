@@ -132,7 +132,17 @@ def _upsample(band):
     return up
 
 
-def _check_decimated_length(n, spec, taps):
+def _check_length(n, spec):
+    """Raise ValueError unless spec can analyze signals of length n."""
+    if spec.mode == "undecimated":
+        # the level-j holes are 2**(j-1) apart, so beyond log2(n) levels
+        # the filters wrap onto themselves and the bands stop meaning
+        # anything
+        if 2 ** spec.levels > n:
+            raise ValueError(
+                f"undecimated mode at {spec.levels} levels requires length "
+                f"at least {2 ** spec.levels}; got {n}")
+        return
     div = 2 ** spec.levels
     if n % div != 0:
         need = ((n // div) + 1) * div
@@ -140,27 +150,11 @@ def _check_decimated_length(n, spec, taps):
             f"decimated mode at {spec.levels} levels requires length divisible "
             f"by {div}; got {n}, pad to {need}")
     # periodized shifts stay orthonormal only while the filter fits once
-    if n // 2 ** (spec.levels - 1) < len(taps):
+    taps = len(_filter_pair(spec.filter)[0])
+    if n // 2 ** (spec.levels - 1) < taps:
         raise ValueError(
             f"length {n} too short for {spec.levels} decimated levels of "
-            f"a {len(taps)}-tap filter")
-
-
-def _check_undecimated_length(n, spec):
-    # the level-j holes are 2**(j-1) apart, so beyond log2(n) levels the
-    # filters wrap onto themselves and the bands stop meaning anything
-    if 2 ** spec.levels > n:
-        raise ValueError(
-            f"undecimated mode at {spec.levels} levels requires length at "
-            f"least {2 ** spec.levels}; got {n}")
-
-
-def _check_length(n, spec):
-    """Raise ValueError unless spec can analyze signals of length n."""
-    if spec.mode == "decimated":
-        _check_decimated_length(n, spec, _filter_pair(spec.filter)[0])
-    else:
-        _check_undecimated_length(n, spec)
+            f"a {taps}-tap filter")
 
 
 def _analysis_cascade(x, spec):

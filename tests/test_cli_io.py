@@ -1,6 +1,6 @@
 import re
 import warnings
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from xml.etree import ElementTree
 
 import numpy as np
@@ -268,8 +268,9 @@ def test_pgm_reader_skips_comments(tmp_path):
     (b"P5\n2 2\n65536\n", "malformed PGM dimensions"),
     (b"P5\n2 2\n255\n" + bytes(3), "shorter than header"),
     (b"P5\n2 2\n300\n" + bytes(7), "shorter than header"),
+    (b"P5\n2 1\n10\n" + bytes([3, 255]), "exceeds the header's maxval 10"),
 ], ids=["truncated", "token", "width", "height", "maxval-0", "maxval-wide",
-        "short-8-bit", "short-16-bit"])
+        "short-8-bit", "short-16-bit", "sample-above-maxval"])
 def test_pgm_reader_rejects_bad_files(tmp_path, blob, message):
     p = tmp_path / "bad.pgm"
     p.write_bytes(blob)
@@ -418,6 +419,10 @@ def _rotation_sinogram_file(tmp_path):
     return p
 
 
+# the angles header of _rotation_sinogram_file
+ANGLES = ";".join(f"{v:.17g}" for v in np.pi * np.arange(4) / 4)
+
+
 @pytest.mark.parametrize("key", ["variant", "image_shape", "interp", "angles",
                                  "offset_min", "gdb_size"])
 def test_read_sinogram_names_a_missing_header_key(tmp_path, key):
@@ -435,6 +440,8 @@ def test_read_sinogram_names_a_missing_header_key(tmp_path, key):
     ("interp = area", "interp = cubic", "unknown rotation interp 'cubic'"),
     ("image_shape = 8,8", "image_shape = 8", "two positive sizes, got '8'"),
     ("image_shape = 8,8", "image_shape = 0,8", "two positive sizes"),
+    (f"angles = {ANGLES}", "angles = nan;1;2;3", "angles must be finite"),
+    (f"angles = {ANGLES}", "angles = 0;1;inf;3", "angles must be finite"),
 ])
 def test_read_sinogram_rejects_unknown_header_values(tmp_path, line, bad,
                                                      message):
@@ -693,6 +700,27 @@ output_dir = {tmp_path / 'out'}
 
     assert main(["denoise", "-c", cfg, "--selector", "magic"]) == 1
     assert capsys.readouterr().err.startswith("error: validation:")
+
+
+@pytest.mark.parametrize("body", [
+    "",
+    "preset = pet\n",
+    "transform.variant = gdb\nentry = sinogram\n"
+    "phantom.kind = inhomogeneous\n"
+    "phantom.structures = disk:0.5,0.5,0.25;bar:0.1,0.1,0.2,0.3\n",
+], ids=["defaults", "pet", "gdb-structures"])
+def test_cli_denoise_report_config_replays_the_run(tmp_path, capsys, body):
+    # the [config] section is a config file that parses back into the
+    # config that ran, output_dir included
+    out = tmp_path / "out dir"
+    cfg = write_cfg(tmp_path, body + "phantom.size = 16\n"
+                    f"output_dir = {out}\n")
+    assert main(["denoise", "-c", cfg, "--seed", "3"]) == 0
+    capsys.readouterr()
+    report = (out / "run_report.txt").read_text()
+    section = report.split("[config]\n", 1)[1].split("[timings]", 1)[0]
+    assert parse_config(section) == replace(load_config(cfg), seed=3)
+    assert len(section.splitlines()) == len(DEFAULTS_TABLE.splitlines()) - 1
 
 
 @pytest.mark.parametrize("argv", [["verify-dist", "--gof"], ["denoise"]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from poissonridge.phantoms import (Bar, Disk, PhantomSpec, make_phantom,
-                                   sample_poisson, validate_intensity)
+                                   sample_poisson)
 
 
 def test_homogeneous_is_constant_fill():
@@ -95,6 +95,17 @@ def test_synthetic_sinogram_scales_linearly_with_background_intensity():
     assert np.allclose(hi, 3.0 * lo)
 
 
+@pytest.mark.parametrize("size, peak", [
+    (2, 3.7), (16, 0.3), (16, 3.7e12), (17, 3.7), (64, 3.7),
+    *((size, peak) for size in (3, 8, 31, 32)
+      for peak in (1e-300, 0.05, 0.3, 1.0, 3.7, 255.0, 1e6, 3.7e12)),
+])
+def test_synthetic_sinogram_peak_is_background_intensity_exactly(size, peak):
+    sino = make_phantom(PhantomSpec(kind="synthetic-sinogram", size=size,
+                                    background_intensity=peak))
+    assert sino.max() == peak
+
+
 @pytest.mark.parametrize("peak", [5e-324, 1e-320])
 def test_synthetic_sinogram_keeps_a_subnormal_peak(peak):
     # peak / max(sinogram) underflows at these rates, so the sinogram is
@@ -110,16 +121,16 @@ def test_peak_factor_is_not_a_spec_field():
         PhantomSpec(peak_factor=1.0)
 
 
-def test_validate_intensity_rejects_bad_arrays():
+def test_sample_poisson_rejects_bad_arrays():
     with pytest.raises(ValueError):
-        validate_intensity(np.ones(5))
+        sample_poisson(np.ones(5))
     with pytest.raises(ValueError):
-        validate_intensity(np.array([[1.0, -0.1]]))
+        sample_poisson(np.array([[1.0, -0.1]]))
     with pytest.raises(ValueError):
-        validate_intensity(np.array([[np.nan, 1.0]]))
+        sample_poisson(np.array([[np.nan, 1.0]]))
     for shape in [(0, 4), (4, 0)]:
         with pytest.raises(ValueError, match=re.escape(f"empty axis: shape {shape}")):
-            validate_intensity(np.zeros(shape))
+            sample_poisson(np.zeros(shape))
 
 
 def test_sample_poisson_deterministic_and_integer():

@@ -612,14 +612,15 @@ def test_per_view_deposit_matches_one_bincount_per_orbit(interp, shape,
 
 def test_pet_phantom_is_the_reference_projection_bit_for_bit():
     # the synthetic-sinogram phantom is the area projection of the head
-    # phantom at 128 angles, scaled to peak 255: pinned to the bit,
-    # because one ulp anywhere changes every Poisson draw made from it
+    # phantom at 128 angles, divided by its peak and scaled to 255:
+    # pinned to the bit, because one ulp anywhere can change the Poisson
+    # draws made from it
     size, peak = 128, 255.0
     pet = make_phantom(PhantomSpec(kind="synthetic-sinogram", size=size,
                                    background_intensity=peak))
     sino = one_bincount_per_orbit(_head_phantom(size)[..., None], size,
                                   "area")[..., 0]
-    assert np.array_equal(pet, sino * (peak / sino.max()))
+    assert np.array_equal(pet, sino / sino.max() * peak)
 
 
 # --- dihedral angle folding ------------------------------------------------
