@@ -7,7 +7,9 @@ Format, one setting per line::
     transform.angles = 180
     seed = 7
 
-The keys are RunConfig's fields: ``section.field`` one level into each
+A ``#`` at the start of a line or after whitespace opens a comment to
+the end of the line; any other ``#`` is part of the value. The keys
+are RunConfig's fields: ``section.field`` one level into each
 component, the bare name for a top-level field. A value is parsed as the
 type of its default and validated by the dataclass owning the field, so
 a new field is a key, a DEFAULTS_TABLE row and a run-report line with no
@@ -19,7 +21,8 @@ applies a named bundle first, so later lines can still override
 individual fields.
 """
 
-from dataclasses import astuple, dataclass, field, fields, is_dataclass, replace
+import re
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 
 from .harness import _check_run_counts
 from .phantoms import Bar, Disk, PhantomSpec
@@ -34,7 +37,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig(DenoiseConfig):
     """Everything an experiment needs besides the subcommand itself: the
     pipeline settings and defaults of DenoiseConfig plus the phantom and
@@ -45,7 +48,7 @@ class RunConfig(DenoiseConfig):
     harness accepts.
     """
 
-    phantom: PhantomSpec = field(default_factory=PhantomSpec)
+    phantom: PhantomSpec = PhantomSpec()
     samples: int = 1000
     seed: int = 0
     output_dir: str = "out"
@@ -144,7 +147,7 @@ def parse_config(text):
     cfg = RunConfig()
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

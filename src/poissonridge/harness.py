@@ -25,6 +25,7 @@ import numpy as np
 from .phantoms import make_phantom
 from .radon import _check_column_wavelet, _column_length, propagate_intensity
 from .seeding import derive_rng
+from .spd import _MAX_OUTCOMES
 from .wavelet import (_check_length, _undec_analysis, dwt_forward,
                       wavelet_atom)
 
@@ -94,7 +95,7 @@ def _ols(x, y):
     return LineFit(slope, intercept, 1.0 - ss_res / ss_tot)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistReport:
     """Distributional summary of one coefficient band.
 
@@ -132,7 +133,7 @@ class DistReport:
     gof_tested: int = 0
 
 
-def _band_report(band, level, samples, sums, pred_var, driver):
+def _band_report(band, level, samples, sums, pred_var, driver, gof=None):
     emp_mean = sums.s1 / samples
     emp_var = (sums.s2 - sums.s1 * emp_mean) / (samples - 1)
     emp_var = np.maximum(emp_var, 0.0)
@@ -147,6 +148,7 @@ def _band_report(band, level, samples, sums, pred_var, driver):
     scatter = np.column_stack([driver[valid], emp_var[valid]])
     fit = (_ols(scatter[:, 0], scatter[:, 1])
            or LineFit(float("nan"), float("nan"), float("nan")))
+    gof_pass_fraction, gof_tested = gof.pass_fraction() if gof else (None, 0)
 
     return DistReport(
         band=band,
@@ -167,6 +169,8 @@ def _band_report(band, level, samples, sums, pred_var, driver):
         slope=fit.slope,
         intercept=fit.intercept,
         r_squared=fit.r_squared,
+        gof_pass_fraction=gof_pass_fraction,
+        gof_tested=gof_tested,
     )
 
 
@@ -237,7 +241,8 @@ class _GofCounts:
     block of its coefficients' group rows, and slot 0 takes every
     outcome of an untested coefficient (rate 0, or a rate whose bins
     pool into a single group). Memory therefore scales with the number
-    of groups, not with coefficients × outcomes.
+    of groups, not with coefficients × outcomes. Set-up tables of more
+    than spd_pmf's cap, _MAX_OUTCOMES, raise ValueError before they exist.
     """
 
     def __init__(self, rates, samples):
@@ -255,6 +260,11 @@ class _GofCounts:
         keys = keys[order]
         coefs = usable[order]
         lams, starts = np.unique(keys, return_index=True)
+        if lams.size * (top + 1) > _MAX_OUTCOMES:
+            raise ValueError(
+                f"chi-square GOF tables of {lams.size} rates x {top + 1} "
+                f"outcomes exceed {_MAX_OUTCOMES} entries; the largest rate, "
+                f"{flat_rates.max():g}, is too high to test")
         stops = np.append(starts[1:], keys.size)
 
         # expected outcome counts of every distinct rate: one row per rate
@@ -383,7 +393,8 @@ def run_distribution_experiment(spec, transform, samples, seed,
     gof : bool
         Also run the per-coefficient Poisson chi-square test on the
         radon band. Requires an integer-valued variant (gdb, or rotation
-        with nearest interpolation).
+        with nearest interpolation), and rates low enough that the test's
+        tables fit the _MAX_OUTCOMES cap, checked before the first sample.
 
     Returns
     -------
@@ -439,12 +450,9 @@ def run_distribution_experiment(spec, transform, samples, seed,
             for acc, arr in zip(sums[1:], pyr.details + [pyr.approximation]):
                 acc.add(arr.reshape(arr.shape[0], n_cols, -1))
 
-    reports = [_band_report(band, level, samples, acc, pred_var, driver)
-               for (band, level, _, pred_var, driver), acc in zip(bands, sums)]
-    if gof:
-        (reports[0].gof_pass_fraction,
-         reports[0].gof_tested) = gof_counts.pass_fraction()
-    return reports
+    return [_band_report(band, level, samples, acc, pred_var, driver,
+                         gof_counts if band == "radon" else None)
+            for (band, level, _, pred_var, driver), acc in zip(bands, sums)]
 
 
 def variance_vs_intensity(report):

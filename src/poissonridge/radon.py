@@ -57,7 +57,7 @@ def _nonnegative_grid(values, name, unit, stack=False):
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformConfig:
     """Which Radon discretization to run and its knobs.
 
@@ -81,7 +81,7 @@ class TransformConfig:
         _angle_array(self.angles)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sinogram:
     """Dense Radon-domain grid plus the geometry needed to invert it.
 
@@ -89,7 +89,10 @@ class Sinogram:
     For the rotation variant columns are angle bins; for gdb they are
     (quadrant, slope) pairs flattened as ``(q - 1) * n + s`` with
     q in 1..4 and s in 0..n-1 on the padded edge n. Trailing axes of
-    data beyond the first two, if any, index a stack of images.
+    data beyond the first two, if any, index a stack of images. Building
+    one raises ValueError on an unknown variant, an image_shape that is
+    not two positive sizes and, for rotation, an unknown interp or angles
+    that are not one finite angle per column.
     """
 
     variant: str
@@ -97,6 +100,22 @@ class Sinogram:
     image_shape: tuple
     angles: np.ndarray = None
     interp: str = None
+
+    def __post_init__(self):
+        if self.variant not in ("rotation", "gdb"):
+            raise ValueError(f"unknown sinogram variant {self.variant!r}")
+        if len(self.image_shape) != 2 or min(self.image_shape) < 1:
+            raise ValueError(
+                f"image_shape {self.image_shape!r} is not two positive sizes")
+        if self.variant == "gdb":
+            return
+        if self.interp not in _ROTATION_MODES:
+            raise ValueError(f"unknown rotation interp {self.interp!r}")
+        thetas = np.asarray(self.angles, dtype=float)
+        if thetas.shape != self.data.shape[1:2] or not np.isfinite(thetas).all():
+            raise ValueError(f"a rotation Sinogram needs one finite angle per "
+                             f"column, got angles of shape {thetas.shape} for "
+                             f"data of shape {self.data.shape}")
 
     @property
     def offset_min(self):
@@ -541,25 +560,20 @@ def fbp_invert(sino):
     zero-padded against circular wrap) and applies (pi / 2 n_angles)
     times the transpose of the ``linear`` projector, _backproject. The
     result is the raw reconstruction: the ramp filter's negative lobes
-    are kept; denoise zeroes them in its final estimate. Empty, stacked
-    or non-finite input raises ValueError before anything is filtered.
+    are kept; denoise zeroes them in its final estimate. A gdb sinogram,
+    empty, stacked or non-finite data and offsets short of the image's
+    half-diagonal (a cropped detector) raise ValueError before any filter.
     """
     if sino.variant != "rotation":
         raise ValueError(
             f"fbp_invert is not implemented for variant {sino.variant!r}")
-    h, w = sino.image_shape
-    if sino.data.ndim != 2 or 0 in sino.data.shape or min(h, w) < 1:
-        raise ValueError(
-            f"fbp_invert takes one non-empty sinogram of a non-empty image, "
-            f"got data of shape {sino.data.shape} for image_shape {(h, w)}")
+    if sino.data.ndim != 2 or 0 in sino.data.shape:
+        raise ValueError(f"fbp_invert takes one non-empty sinogram, got data "
+                         f"of shape {sino.data.shape}")
     if not np.isfinite(sino.data).all():
         raise ValueError("fbp_invert needs finite sinogram data")
     nr, nth = sino.data.shape
-    thetas = np.asarray(sino.angles, dtype=float)
-    if thetas.shape != (nth,) or not np.isfinite(thetas).all():
-        raise ValueError(
-            f"fbp_invert needs one finite angle per column: {nth} columns, "
-            f"angles of shape {thetas.shape}")
+    h, w = sino.image_shape
     radius = -sino.offset_min
     # the linear transpose gathers rows floor(r) and floor(r) + 1 for
     # every pixel's offset r, |r| at most the half-diagonal; both must exist
@@ -571,4 +585,5 @@ def fbp_invert(sino):
     spectrum = np.fft.rfft(sino.data, n=npad, axis=0)
     spectrum *= _ramp_filter(npad)[:, None]
     filtered = np.fft.irfft(spectrum, n=npad, axis=0)[:nr]
+    thetas = np.asarray(sino.angles, dtype=float)
     return np.pi / (2 * nth) * _backproject(filtered, thetas, (h, w), "linear")

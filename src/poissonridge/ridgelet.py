@@ -11,7 +11,7 @@ ridgelet transform is the composition of public calls:
 forward, ``fbp_invert(replace(sino, data=dwt_inverse(pyramid)))`` back.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
 _ENTRIES = ("image", "sinogram")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenoiseConfig:
     """End-to-end pipeline settings.
 
@@ -48,10 +48,9 @@ class DenoiseConfig:
     are always zeroed; fbp_invert gives the raw backprojection.
     """
 
-    transform: TransformConfig = field(
-        default_factory=lambda: TransformConfig(interp="area"))
-    wavelet: WaveletSpec = field(default_factory=WaveletSpec)
-    policy: ThresholdPolicy = field(default_factory=ThresholdPolicy)
+    transform: TransformConfig = TransformConfig(interp="area")
+    wavelet: WaveletSpec = WaveletSpec()
+    policy: ThresholdPolicy = ThresholdPolicy()
     entry: str = "image"
 
     def __post_init__(self):
@@ -60,7 +59,7 @@ class DenoiseConfig:
                 f"unknown entry mode {self.entry!r}; expected one of {_ENTRIES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenoiseResult:
     """Denoised estimate plus the knobs the run actually used."""
 

@@ -37,7 +37,7 @@ def soft_threshold(w, tau):
     return np.sign(w) * np.maximum(np.abs(w) - tau, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BandNoiseModel:
     """Per-coefficient variance prediction for one detail band.
 
@@ -49,7 +49,7 @@ class BandNoiseModel:
     scale: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThresholdPolicy:
     """Selector choice and threshold grid layout.
 

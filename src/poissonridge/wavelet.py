@@ -68,7 +68,7 @@ class WaveletSpec:
         _filter_pair(self.filter)  # rejects an unknown filter name
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaveletPyramid:
     """Transform output: coarsest approximation plus detail bands.
 

@@ -1,6 +1,6 @@
 import re
 import warnings
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from xml.etree import ElementTree
 
 import numpy as np
@@ -43,13 +43,34 @@ phantom.size = 32
 transform.variant = gdb   # trailing comment
 policy.selector = oracle-erm
 samples = 250
-seed = 9
+seed = 9\t# tab before the comment
+output_dir = /x/hash#dir
 """)
+    # a '#' opens a comment only at the start of a line or after whitespace
+    assert cfg.output_dir == "/x/hash#dir"
     assert cfg.phantom.kind == "inhomogeneous"
     assert cfg.phantom.size == 32
     assert cfg.transform.variant == "gdb"
     assert cfg.policy.selector == "oracle-erm"
     assert cfg.samples == 250 and cfg.seed == 9
+
+
+@pytest.mark.parametrize("component, name, value", [
+    ("policy", "selector", "oracle"),
+    ("transform", "variant", "fan"),
+    (None, "entry", "sinogram "),
+])
+def test_a_built_config_cannot_be_changed_in_place(component, name, value):
+    # an assignment would skip the checks that replace runs, and the
+    # dispatch would then run something else: sure with no reference, a
+    # rotation projection, the image entry
+    cfg = parse_config("")
+    record = cfg if component is None else getattr(cfg, component)
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, value)
+    with pytest.raises(ValueError):
+        replace(record, **{name: value})
+    assert cfg == RunConfig()
 
 
 def test_structures_parse_and_reject():
@@ -409,7 +430,8 @@ def test_read_sinogram_rejects_angle_count_off_the_columns(tmp_path):
     assert full in text
     cut = "# angles = " + ";".join(f"{v:.17g}" for v in rot.angles[:2]) + "\n"
     p.write_text(text.replace(full, cut))
-    with pytest.raises(ValueError, match="2 angles for 4 columns"):
+    with pytest.raises(ValueError, match=r"one finite angle per column, got "
+                       r"angles of shape \(2,\) for data of shape \(15, 4\)"):
         read_sinogram(p)
 
 
@@ -438,7 +460,8 @@ def test_read_sinogram_names_a_missing_header_key(tmp_path, key):
 @pytest.mark.parametrize("line, bad, message", [
     ("variant = rotation", "variant = fan", "unknown sinogram variant 'fan'"),
     ("interp = area", "interp = cubic", "unknown rotation interp 'cubic'"),
-    ("image_shape = 8,8", "image_shape = 8", "two positive sizes, got '8'"),
+    ("image_shape = 8,8", "image_shape = 8",
+     r"image_shape \(8,\) is not two positive sizes"),
     ("image_shape = 8,8", "image_shape = 0,8", "two positive sizes"),
     (f"angles = {ANGLES}", "angles = nan;1;2;3", "angles must be finite"),
     (f"angles = {ANGLES}", "angles = 0;1;inf;3", "angles must be finite"),
@@ -721,6 +744,18 @@ def test_cli_denoise_report_config_replays_the_run(tmp_path, capsys, body):
     section = report.split("[config]\n", 1)[1].split("[timings]", 1)[0]
     assert parse_config(section) == replace(load_config(cfg), seed=3)
     assert len(section.splitlines()) == len(DEFAULTS_TABLE.splitlines()) - 1
+
+
+def test_cli_denoise_into_a_hash_directory_replays_the_run(tmp_path, capsys):
+    out = tmp_path / "hash#dir"
+    cfg = write_cfg(tmp_path, "phantom.size = 16\n")
+    assert main(["denoise", "-c", cfg, "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    report = (out / "run_report.txt").read_text()
+    section = report.split("[config]\n", 1)[1].split("[timings]", 1)[0]
+    assert f"output_dir = {out}\n" in section
+    assert parse_config(section) == replace(load_config(cfg),
+                                            output_dir=str(out))
 
 
 @pytest.mark.parametrize("argv", [["verify-dist", "--gof"], ["denoise"]])

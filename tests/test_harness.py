@@ -199,6 +199,30 @@ def test_zero_rate_phantom_rejected_before_sampling(monkeypatch, kind,
                                     gof=True)
 
 
+def test_gof_tables_over_the_outcome_cap_rejected_before_sampling(
+        monkeypatch):
+    # the set-up tables hold distinct rates x (top + 1) entries, and top
+    # grows with the largest rate: a high-rate scene would allocate
+    # gigabytes before the first sample
+    def never(*args, **kwargs):
+        raise AssertionError("sampled past the GOF table cap")
+
+    spec = PhantomSpec("homogeneous", 8, background_intensity=20.0)
+    rates = propagate_intensity(make_phantom(spec), TransformConfig("gdb")).data
+    distinct = np.unique(np.round(rates[rates > 0], 9)).size
+    top = int(poisson.isf(1e-9, rates.max())) + 1
+    entries = distinct * (top + 1)
+    monkeypatch.setattr(harness, "_MAX_OUTCOMES", entries)
+    assert harness._GofCounts(rates, 100).top == top
+    monkeypatch.setattr(harness, "_MAX_OUTCOMES", entries - 1)
+    monkeypatch.setattr(harness, "derive_rng", never)
+    with pytest.raises(ValueError, match=f"{distinct} rates x {top + 1} "
+                       f"outcomes exceed {entries - 1} entries; the largest "
+                       f"rate, {rates.max():g},"):
+        run_distribution_experiment(spec, TransformConfig("gdb"), 100, 0,
+                                    gof=True)
+
+
 @pytest.mark.parametrize("transform", [
     TransformConfig("gdb"), TransformConfig("rotation", 12, "nearest")])
 def test_band_without_positive_prediction_rejected_before_sampling(

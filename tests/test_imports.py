@@ -9,8 +9,10 @@ fresh interpreter, because pytest has scipy loaded already.
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import poissonridge as pr
@@ -133,3 +135,21 @@ def test_package_exports_exactly_the_layer_exports():
     assert sorted(pr.__all__) == sorted(layer_names)
     assert len(pr.__all__) == len(set(pr.__all__))
     assert all(hasattr(pr, name) for name in pr.__all__)
+
+
+def test_every_record_is_frozen():
+    # a record checks its fields when it is built; an assignment would
+    # change a field past that check, so dataclasses.replace, which
+    # builds a new record, is the only way to change one
+    records = {}
+    for info in pkgutil.iter_modules(pr.__path__):
+        module = importlib.import_module(f"poissonridge.{info.name}")
+        records.update((obj.__name__, obj) for obj in vars(module).values()
+                       if isinstance(obj, type) and is_dataclass(obj)
+                       and obj.__module__ == module.__name__)
+    assert {"Sinogram", "TransformConfig", "ThresholdPolicy",
+            "DenoiseConfig", "RunConfig", "BandNoiseModel", "WaveletPyramid",
+            "DenoiseResult", "DistReport", "WaveletSpec", "PhantomSpec",
+            "Disk", "Bar", "SpdParams"} <= set(records)
+    assert [name for name, record in sorted(records.items())
+            if not record.__dataclass_params__.frozen] == []

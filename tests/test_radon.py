@@ -833,11 +833,48 @@ def test_fbp_rejects_empty_or_non_finite_input(change, message):
         fbp_invert(replace(sino, **change))
 
 
+ROTATION_FIELDS = dict(variant="rotation", data=np.zeros((15, 4)),
+                       image_shape=(8, 8), angles=np.pi * np.arange(4) / 4,
+                       interp="area")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"variant": "fan"}, "unknown sinogram variant 'fan'"),
+    ({"image_shape": (8,)}, r"image_shape \(8,\) is not two positive sizes"),
+    ({"image_shape": (8, 8, 1)}, "not two positive sizes"),
+    ({"image_shape": (0, 8)}, "not two positive sizes"),
+    ({"image_shape": (8, -1)}, "not two positive sizes"),
+    ({"interp": "cubic"}, "unknown rotation interp 'cubic'"),
+    ({"interp": None}, "unknown rotation interp None"),
+    ({"angles": None}, r"angles of shape \(\) for data of shape \(15, 4\)"),
+    ({"angles": np.arange(3.0)}, r"angles of shape \(3,\)"),
+    ({"angles": np.arange(5.0)}, r"angles of shape \(5,\)"),
+    ({"angles": np.zeros((4, 1))}, r"angles of shape \(4, 1\)"),
+    ({"angles": np.array([0.0, 0.5, np.nan, 1.5])}, "one finite angle"),
+    ({"angles": np.array([0.0, 0.5, -np.inf, 1.5])}, "one finite angle"),
+], ids=["variant", "one-size", "three-sizes", "zero-size", "negative-size",
+        "interp", "no-interp", "no-angles", "too-few-angles",
+        "too-many-angles", "2-D-angles", "nan-angle", "inf-angle"])
+def test_sinogram_rejects_a_bad_field_when_built(change, message):
+    # built directly or by replace, a record checks its own fields
+    good = Sinogram(**ROTATION_FIELDS)
+    with pytest.raises(ValueError, match=message):
+        Sinogram(**{**ROTATION_FIELDS, **change})
+    with pytest.raises(ValueError, match=message):
+        replace(good, **change)
+
+
+def test_gdb_sinogram_needs_no_angles_or_interp():
+    sino = Sinogram("gdb", np.zeros((15, 32)), (8, 8))
+    assert sino.gdb_size == 8
+    with pytest.raises(ValueError, match="not two positive sizes"):
+        replace(sino, image_shape=(8, 0))
+
+
 def test_fbp_rejects_offsets_short_of_the_diagonal():
     sino = drt_rotation(np.ones((8, 8)), angles=8, interp="area")
-    sino.image_shape = (32, 32)
     with pytest.raises(ValueError, match="diagonal"):
-        fbp_invert(sino)
+        fbp_invert(replace(sino, image_shape=(32, 32)))
 
 
 def test_rotation_angle_validation():
@@ -978,6 +1015,5 @@ def test_fbp_needs_one_finite_angle_per_column(angles):
     # fewer angles than columns would back-project only some columns and
     # still scale for all of them
     sino = drt_rotation(np.ones((8, 8)), angles=4, interp="area")
-    sino.angles = angles
     with pytest.raises(ValueError, match="one finite angle per column"):
-        fbp_invert(sino)
+        fbp_invert(replace(sino, angles=angles))
